@@ -3,7 +3,10 @@
 A graph on p nodes is represented by a vector ``w`` of length p(p-1)/2
 holding nonnegative edge weights in row-major pair order over (i, j),
 i < j: (0,1), (0,2), ..., (0,p-1), (1,2), ...  This ordering is fixed
-package-wide; ``pair_indices`` is the single source of truth for it.
+package-wide; ``pair_indices`` is the single source of truth for it.  The
+index data of each p (pair rows and columns, their flat offsets into a
+p-by-p matrix, and the node of each pair end) is built once, cached and
+read-only, so the weight-space maps below are plain gathers and scatters.
 
 The combinatorial Laplacian of a weight vector is L = D - W with
 D = Diag(W 1).  L is symmetric positive semidefinite, has zero row sums,
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +39,6 @@ __all__ = [
     "spectral_summary",
     "time_consistency",
     "validate_laplacian",
-    "validate_weights",
     "weights_from_laplacian",
     "zero_eigenvalue_tolerance",
 ]
@@ -61,22 +64,34 @@ def node_count(m: int) -> int:
     return p
 
 
+@dataclass(frozen=True)
+class _Pairs:
+    """Read-only index data of the p-node pair order."""
+
+    iu: np.ndarray  # row i of pair m
+    ju: np.ndarray  # column j of pair m
+    upper: np.ndarray  # flat offset i*p + j of pair m in a p-by-p matrix
+    lower: np.ndarray  # flat offset j*p + i
+    nodes: np.ndarray  # [iu, ju]: the node of each pair end
+
+
+@lru_cache(maxsize=64)
+def _pairs(p: int) -> _Pairs:
+    iu, ju = np.triu_indices(p, k=1)
+    pairs = _Pairs(iu, ju, iu * p + ju, ju * p + iu, np.concatenate([iu, ju]))
+    for a in vars(pairs).values():
+        a.flags.writeable = False
+    return pairs
+
+
 def pair_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the upper triangle in package pair order."""
-    return np.triu_indices(p, k=1)
+    """Row/column indices of the upper triangle in package pair order.
 
-
-def validate_weights(w: np.ndarray) -> int:
-    """Check a weight vector (nonnegative, valid length); return p."""
-    w = np.asarray(w)
-    if w.ndim != 1:
-        raise ValueError("weight vector must be one-dimensional")
-    p = node_count(w.shape[0])
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight vector contains non-finite entries")
-    if np.any(w < 0):
-        raise ValueError("weight vector contains negative entries")
-    return p
+    The arrays are built once per p, cached and read-only; copy them
+    before writing.
+    """
+    pairs = _pairs(p)
+    return pairs.iu, pairs.ju
 
 
 def laplacian_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
@@ -91,9 +106,9 @@ def laplacian_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
         p = node_count(w.shape[0])
     elif w.shape[0] != pair_count(p):
         raise ValueError(f"weight vector length {w.shape[0]} does not match p={p}")
-    L = np.zeros((p, p))
-    iu = pair_indices(p)
-    L[iu] = -w
+    L = np.zeros(p * p)
+    L[_pairs(p).upper] = -w
+    L = L.reshape(p, p)
     L += L.T
     np.fill_diagonal(L, -L.sum(axis=1))
     return L
@@ -124,18 +139,16 @@ def degrees_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if p is None:
         p = node_count(w.shape[0])
-    iu, ju = pair_indices(p)
-    d = np.zeros(p)
-    np.add.at(d, iu, w)
-    np.add.at(d, ju, w)
-    return d
+    # bincount adds in input order: every pair through its row end, then
+    # through its column end
+    return np.bincount(_pairs(p).nodes, weights=np.concatenate([w, w]), minlength=p)
 
 
 def dual_to_pairs(v: np.ndarray) -> np.ndarray:
     """Adjoint of the degree operator: (B^T v)_m = v_i + v_j for pair m=(i,j)."""
     v = np.asarray(v, dtype=float)
-    iu, ju = pair_indices(v.shape[0])
-    return v[iu] + v[ju]
+    pairs = _pairs(v.shape[0])
+    return v[pairs.iu] + v[pairs.ju]
 
 
 def laplacian_adjoint(M: np.ndarray) -> np.ndarray:
@@ -145,9 +158,10 @@ def laplacian_adjoint(M: np.ndarray) -> np.ndarray:
     <laplacian_from_weights(w), M> = <w, laplacian_adjoint(M)>.
     """
     M = np.asarray(M, dtype=float)
-    d = np.diag(M)
-    iu, ju = pair_indices(M.shape[0])
-    return d[iu] + d[ju] - M[iu, ju] - M[ju, iu]
+    pairs = _pairs(M.shape[0])
+    d = M.diagonal()
+    flat = M.reshape(-1)  # row-major: a copy unless M is C-contiguous
+    return d[pairs.iu] + d[pairs.ju] - flat[pairs.upper] - flat[pairs.lower]
 
 
 def zero_eigenvalue_tolerance(eigenvalues: np.ndarray) -> float:

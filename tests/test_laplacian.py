@@ -4,17 +4,21 @@ import pytest
 from marketgraph.laplacian import (
     DisconnectedGraphWarning,
     degrees_from_weights,
+    dual_to_pairs,
     laplacian_adjoint,
     laplacian_from_weights,
     log_gdet,
     node_count,
     num_components,
     pair_count,
+    pair_indices,
     spectral_summary,
     time_consistency,
     validate_laplacian,
     weights_from_laplacian,
 )
+import reference_ops as ref
+from reference_ops import bitwise_equal
 
 
 def union_find_components(w, p):
@@ -98,10 +102,15 @@ def test_construction_properties():
 def test_laplacian_adjoint_is_adjoint():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        p = int(rng.integers(2, 12))
-        w = rng.uniform(0, 2, pair_count(p))
+        p = int(rng.integers(2, 61))
+        w = rng.uniform(0, 2, pair_count(p)) * (rng.random(pair_count(p)) < 0.6)
         M = rng.standard_normal((p, p))
-        lhs = float(np.sum(laplacian_from_weights(w) * M))
+        L = laplacian_from_weights(w)
+        assert bitwise_equal(L, ref.laplacian_from_weights(w))
+        assert bitwise_equal(laplacian_from_weights(w, p), L)
+        for MM in (M, M.T, np.asfortranarray(M), M + M.T):
+            assert bitwise_equal(laplacian_adjoint(MM), ref.laplacian_adjoint(MM))
+        lhs = float(np.sum(L * M))
         rhs = float(w @ laplacian_adjoint(M))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -109,6 +118,29 @@ def test_laplacian_adjoint_is_adjoint():
 def test_degrees_from_weights():
     w = np.array([1.0, 0.0, 2.0])  # pairs (0,1),(0,2),(1,2)
     assert np.array_equal(degrees_from_weights(w), np.array([1.0, 3.0, 2.0]))
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        p = int(rng.integers(2, 61))
+        w = rng.uniform(0, 2, pair_count(p)) * (rng.random(pair_count(p)) < 0.6)
+        v = rng.standard_normal(p)
+        d = degrees_from_weights(w)
+        assert bitwise_equal(d, ref.degrees_from_weights(w))
+        assert bitwise_equal(degrees_from_weights(w, p), d)
+        assert bitwise_equal(dual_to_pairs(v), ref.dual_to_pairs(v))
+        lhs = float(d @ v)
+        rhs = float(w @ dual_to_pairs(v))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_pair_indices_are_cached_and_read_only():
+    for p in (2, 3, 17):
+        iu, ju = pair_indices(p)
+        ref_iu, ref_ju = np.triu_indices(p, k=1)
+        assert np.array_equal(iu, ref_iu) and np.array_equal(ju, ref_ju)
+        assert pair_indices(p)[0] is iu
+        for a in (iu, ju):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
 
 
 def test_log_gdet_examples():

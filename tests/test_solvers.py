@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from marketgraph import solvers
 from marketgraph.laplacian import (
     laplacian_from_weights,
     num_components,
@@ -19,6 +20,8 @@ from marketgraph.solvers import (
     solve_l_subproblem,
 )
 from marketgraph.synthetic import random_k_component_graph, sample_gmrf, simulate_factor_market
+import reference_ops
+from reference_ops import bitwise_equal
 
 
 def weight_of(L, i, j):
@@ -350,3 +353,69 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(memory=0)
+
+
+# --- operator rewrites keep every float ---------------------------------------
+
+def _traced_spg(monkeypatch):
+    """Record the objective trace of every SPG call made by the solvers."""
+    traces = []
+    spg = solvers._spg
+
+    def recording(*args, **kwargs):
+        out = spg(*args, **kwargs)
+        traces.append(np.asarray(out[-1]))
+        return out
+
+    monkeypatch.setattr(solvers, "_spg", recording)
+    return traces
+
+
+def _with_reference_operators(monkeypatch, run):
+    """``run()`` once as it is and once on the reference operators."""
+    results = []
+    for patched in (False, True):
+        with monkeypatch.context() as mp:
+            traces = _traced_spg(mp)
+            calls = []
+            if patched:
+                for name, fn in reference_ops.OPERATORS.items():
+                    def counted(*args, _fn=fn, **kwargs):
+                        calls.append(_fn)
+                        return _fn(*args, **kwargs)
+
+                    mp.setattr(solvers, name, counted)
+            results.append((run(), traces))
+            if patched:
+                assert calls  # the reference operators really ran
+    return results
+
+
+def test_tv_bitwise_equal_to_reference_operators(monkeypatch):
+    seqs, ns = _similarity_sequence(10, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
+    cfg = SolverConfig(delta=100.0)
+    (fast, fast_traces), (slow, slow_traces) = _with_reference_operators(
+        monkeypatch, lambda: learn_time_varying(seqs, ns, cfg)
+    )
+    assert len(fast) == len(slow) == 10
+    for a, b in zip(fast, slow):
+        assert bitwise_equal(a, b)
+    assert len(fast_traces) == len(slow_traces) >= 10
+    for a, b in zip(fast_traces, slow_traces):
+        assert bitwise_equal(a, b)
+
+
+def test_subproblem_bitwise_equal_to_reference_operators(monkeypatch):
+    K = random_spd(np.random.default_rng(8), 10)
+    (fast, fast_traces), (slow, slow_traces) = _with_reference_operators(
+        monkeypatch, lambda: solve_l_subproblem(K)
+    )
+    (L_fast, rep_fast), (L_slow, rep_slow) = fast, slow
+    assert bitwise_equal(L_fast, L_slow)
+    assert bitwise_equal(rep_fast.objective_trace, rep_slow.objective_trace)
+    assert rep_fast.iterations == rep_slow.iterations
+    assert rep_fast.converged == rep_slow.converged
+    assert rep_fast.constraint_residuals == rep_slow.constraint_residuals
+    assert len(fast_traces) == len(slow_traces) > 1
+    for a, b in zip(fast_traces, slow_traces):
+        assert bitwise_equal(a, b)
