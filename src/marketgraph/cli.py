@@ -327,7 +327,6 @@ def _solver_config(r: dict) -> SolverConfig:
         delta=r["delta"],
         k=r["k"],
         memory=r["memory"],
-        seed=r["seed"],
     )
 
 

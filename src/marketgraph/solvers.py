@@ -18,6 +18,13 @@ gradient (SPG) kernel with a monotone Armijo line search.  Degree
 equality constraints are enforced by an augmented Lagrangian around that
 kernel.
 
+Every objective returns its value and a zero-argument gradient closure.
+The Armijo test needs the value alone, and it rejects most trial points,
+so the value costs one Laplacian build and one Cholesky log-determinant
+while the closure holds the rest: the inverse, the adjoints and the
+penalty gradients.  SPG calls it only where it needs the gradient, at the
+start point and at an accepted step.
+
 The log pseudo-determinant of a connected-graph Laplacian is evaluated as
 log det(L + (1/p) 11^T): the rank-one correction spans the constant null
 direction and leaves the positive spectrum untouched.  The k-component
@@ -76,8 +83,6 @@ class SolverConfig:
     delta: float = 100.0
     k: int = 1
     memory: int = 1
-    seed: int = 0
-    eta_schedule: bool = False  # optional x2 growth per outer iter, capped at 1e4*eta
     inner_max_iters: int = 20000
 
     def __post_init__(self):
@@ -135,33 +140,50 @@ def _chol_logdet(A: np.ndarray) -> float | None:
     return 2.0 * float(np.sum(np.log(diag)))
 
 
-def _logdet_and_inverse(A: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """(log det, inverse) of a symmetric PD matrix; None when not PD."""
+def _logdet_term(A: np.ndarray, c: np.ndarray):
+    """``(log det A, grad)`` for the weight-space term ``c @ w - log det A``.
+
+    ``A = L(w) + const`` is symmetric.  The log-determinant comes from a
+    Cholesky factor and is None when ``A`` is not PD or the value is not
+    finite.  ``grad()`` returns ``c - laplacian_adjoint(inv(A))``, the
+    term's gradient, or None when ``inv`` fails.
+    """
     logdet = _chol_logdet(A)
     if logdet is None or not np.isfinite(logdet):
-        return None
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        return None
-    return logdet, Ainv
+        return None, None
+
+    def grad():
+        try:
+            Ainv = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            return None
+        return c - laplacian_adjoint(Ainv)
+
+    return logdet, grad
 
 
 def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
     """Projected gradient over the nonnegative orthant with BB steps.
 
-    ``fun(w)`` returns ``(value, gradient)``; a value of +inf marks an
-    infeasible point (the line search backs off).  Terminates when the
-    KKT residual -- the gradient on free coordinates, clipped to its
-    negative part on active ones -- falls below ``tol`` in the max norm,
-    measured relative to the initial gradient scale (so badly scaled
-    objectives, e.g. huge temporal weights, stop at a sensible point).
+    ``fun(w)`` returns ``(value, grad)``, where ``grad()`` computes the
+    gradient at ``w`` or returns None where it cannot; a value of +inf marks
+    an infeasible point.  The Armijo test reads the value alone, and most
+    trial points fail it, so ``grad()`` runs only at the start point and at
+    a trial point that passes the test.  A None there rejects the trial just
+    as an infeasible value does (the line search backs off), so the iterates
+    are the same floats as with a gradient computed on every call.
+
+    Terminates when the KKT residual -- the gradient on free coordinates,
+    clipped to its negative part on active ones -- falls below ``tol`` in
+    the max norm, measured relative to the initial gradient scale (so badly
+    scaled objectives, e.g. huge temporal weights, stop at a sensible point).
 
     Returns ``(w, f, g, iterations, converged, trace)``.
     """
     w = np.asarray(w0, dtype=float).copy()
-    f, g = fun(w)
-    if not np.isfinite(f):
+    f, grad = fun(w)
+    g = grad() if np.isfinite(f) else None
+    if g is None:
         raise ValueError("infeasible starting point for projected gradient")
     step = 1.0 / max(1.0, float(np.abs(g).max()))
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
@@ -181,10 +203,12 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
                 t *= 0.5
                 continue
             gd = float(g @ dw)
-            f_new, g_new = fun(w_new)
+            f_new, grad = fun(w_new)
             if np.isfinite(f_new) and f_new <= f + 1e-4 * gd:
-                accepted = True
-                break
+                g_new = grad()
+                if g_new is not None:
+                    accepted = True
+                    break
             t *= 0.5
         if not accepted:
             return w, f, g, it, False, trace
@@ -222,14 +246,10 @@ def learn_connected_mle(S, cfg: SolverConfig | None = None):
     J = np.full((p, p), 1.0 / p)
 
     def fun(w):
-        L = laplacian_from_weights(w, p)
-        out = _logdet_and_inverse(L + J)
-        if out is None:
+        logdet, grad = _logdet_term(laplacian_from_weights(w, p) + J, c)
+        if logdet is None:
             return np.inf, None
-        logdet, Ainv = out
-        f = float(c @ w) - logdet
-        g = c - laplacian_adjoint(Ainv)
-        return f, g
+        return float(c @ w) - logdet, grad
 
     w0 = np.full(m, 1.0 / (p - 1))
     w, f, g, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
@@ -277,8 +297,7 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None) -> np.nda
         if np.any(d <= 0.0):
             return np.inf, None
         f = float(z @ w) - alpha * float(np.sum(np.log(d))) + gamma * float(w @ w)
-        g = z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w
-        return f, g
+        return f, lambda: z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w
 
     w0 = np.full(pair_count(p), 1.0 / (p - 1))
     w, _, _, _, conv, _ = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
@@ -348,15 +367,17 @@ def solve_l_subproblem(
 
     for _ in range(cfg.max_outer_iters):
         def fun(wv, _y=y, _rho=rho):
-            L = laplacian_from_weights(wv, p)
-            out = _logdet_and_inverse(L + N)
-            if out is None:
+            logdet, base_grad = _logdet_term(laplacian_from_weights(wv, p) + N, c)
+            if logdet is None:
                 return np.inf, None
-            logdet, Ainv = out
             r = degrees_from_weights(wv, p) - 1.0
             f = float(c @ wv) - logdet + float(_y @ r) + 0.5 * _rho * float(r @ r)
-            g = c - laplacian_adjoint(Ainv) + dual_to_pairs(_y + _rho * r)
-            return f, g
+
+            def grad():
+                g = base_grad()
+                return None if g is None else g + dual_to_pairs(_y + _rho * r)
+
+            return f, grad
 
         w, _, _, iters, conv_inner, _ = _spg(fun, w, cfg.inner_tol, cfg.inner_max_iters)
         total_iters += iters
@@ -397,13 +418,9 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
 
         tr(LS) - log det(L + V V^T) + eta tr(V^T L V)
 
-    is nonincreasing across both half-updates for fixed ``eta`` (both the
-    eigenvector step and the convex step minimize it exactly in their own
-    block).  The objective trace records it after every half-update.
-
-    With ``eta_schedule=True`` eta doubles per outer iteration (capped at
-    1e4 times its start value) until the target nullity is reached; the
-    trace is then only piecewise monotone.
+    is nonincreasing across both half-updates (both the eigenvector step and
+    the convex step minimize it exactly in their own block).  The objective
+    trace records it after every half-update.
 
     Returns ``(L, report)``.
     """
@@ -421,8 +438,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
     iu = pair_indices(p)
     w = np.maximum(-L[iu], 0.0)
 
-    eta0 = cfg.eta
-    eta = eta0
+    eta = cfg.eta
     trace: list[float] = []
     total_iters = 0
     degenerate = False
@@ -458,8 +474,6 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
         if rel <= cfg.outer_tol:
             converged = True
             break
-        if cfg.eta_schedule and num_components(L) < k:
-            eta = min(eta * 2.0, 1e4 * eta0)
 
     nullity = num_components(L)
     report = SolveReport(
@@ -524,18 +538,23 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
 
         def fun(wv):
             L = laplacian_from_weights(wv, p)
-            out = _logdet_and_inverse(L + J)
-            if out is None:
+            logdet, base_grad = _logdet_term(L + J, c)
+            if logdet is None:
                 return np.inf, None
-            logdet, Ainv = out
             f = float(c @ wv) - logdet
-            g = c - laplacian_adjoint(Ainv)
-            for M in (L_prev, L_next):
-                if M is not None:
-                    D = L - M
-                    f += scaled_delta * float(np.sum(D * D))
+            diffs = [L - M for M in (L_prev, L_next) if M is not None]
+            for D in diffs:
+                f += scaled_delta * float(np.sum(D * D))
+
+            def grad():
+                g = base_grad()
+                if g is None:
+                    return None
+                for D in diffs:
                     g += 2.0 * scaled_delta * laplacian_adjoint(D)
-            return f, g
+                return g
+
+            return f, grad
 
         w_out, *_ = _spg(fun, w_init, cfg.inner_tol, cfg.inner_max_iters)
         return w_out

@@ -1,7 +1,9 @@
-"""Weight-space operators written straight from their definitions.
+"""Reference implementations the fast paths must reproduce bit for bit.
 
-These are the plain ``np.triu_indices`` / ``np.add.at`` formulas that the
-cached operators in ``marketgraph.laplacian`` must reproduce bit for bit.
+The weight-space operators are the plain ``np.triu_indices`` /
+``np.add.at`` formulas behind the cached operators in
+``marketgraph.laplacian``; ``eager_spg`` is the projected-gradient kernel
+with the gradient computed at every objective evaluation.
 """
 
 import numpy as np
@@ -65,3 +67,57 @@ def bitwise_equal(a, b) -> bool:
         and np.array_equal(a, b)
         and np.array_equal(np.signbit(a), np.signbit(b))
     )
+
+
+def eager_spg(fun, w0, tol, max_iter):
+    """``marketgraph.solvers._spg`` with the gradient computed on every call.
+
+    ``fun(w)`` returns ``(value, grad)`` as for the solvers' kernel, but
+    here ``grad()`` runs right after every evaluation with a finite value,
+    and a None from it turns the value into +inf.  That is the cost profile
+    of an objective that returns its gradient eagerly; the iterates, values
+    and return tuple must be the kernel's bit for bit.
+    """
+
+    def evaluate(w):
+        f, grad = fun(w)
+        if not np.isfinite(f):
+            return np.inf, None
+        g = grad()
+        return (np.inf, None) if g is None else (f, g)
+
+    w = np.asarray(w0, dtype=float).copy()
+    f, g = evaluate(w)
+    if not np.isfinite(f):
+        raise ValueError("infeasible starting point for projected gradient")
+    step = 1.0 / max(1.0, float(np.abs(g).max()))
+    eff_tol = tol * max(1.0, float(np.abs(g).max()))
+    trace = [f]
+    for it in range(1, max_iter + 1):
+        resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
+        if np.abs(resid).max() <= eff_tol:
+            return w, f, g, it - 1, True, trace
+        t = step
+        accepted = False
+        for _ in range(60):
+            w_new = np.maximum(w - t * g, 0.0)
+            dw = w_new - w
+            if not dw.any():
+                t *= 0.5
+                continue
+            gd = float(g @ dw)
+            f_new, g_new = evaluate(w_new)
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * gd:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            return w, f, g, it, False, trace
+        s = w_new - w
+        y = g_new - g
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 1e-16 else step * 2.0
+        step = min(max(step, 1e-13), 1e13)
+        w, f, g = w_new, f_new, g_new
+        trace.append(f)
+    return w, f, g, max_iter, False, trace

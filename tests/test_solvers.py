@@ -1,3 +1,6 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -419,3 +422,129 @@ def test_subproblem_bitwise_equal_to_reference_operators(monkeypatch):
     assert len(fast_traces) == len(slow_traces) > 1
     for a, b in zip(fast_traces, slow_traces):
         assert bitwise_equal(a, b)
+
+
+# --- the gradient runs only on accepted line-search trials ---------------------
+
+def _same_report(a, b) -> bool:
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if not (bitwise_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
+
+
+def _counting_inverse(monkeypatch):
+    """Count ``np.linalg.inv`` as ``marketgraph.solvers`` sees it."""
+    calls = []
+
+    def inv(A):
+        calls.append(1)
+        return np.linalg.inv(A)
+
+    linalg = types.ModuleType("numpy.linalg")
+    linalg.__dict__.update(np.linalg.__dict__)
+    linalg.inv = inv
+    proxy = types.ModuleType("numpy")
+    proxy.__dict__.update(np.__dict__)
+    proxy.linalg = linalg
+    monkeypatch.setattr(solvers, "np", proxy)
+    return calls
+
+
+def _counted_run(monkeypatch, run, spg=None):
+    """``(run(), spg_traces, inv_calls)``, optionally with ``_spg`` swapped."""
+    with monkeypatch.context() as mp:
+        if spg is not None:
+            mp.setattr(solvers, "_spg", spg)
+        traces = _traced_spg(mp)
+        inv_calls = _counting_inverse(mp)
+        return run(), traces, len(inv_calls)
+
+
+def _mle_run():
+    return learn_connected_mle(random_spd(np.random.default_rng(10), 12))
+
+
+def _subproblem_run():
+    return solve_l_subproblem(random_spd(np.random.default_rng(8), 10))
+
+
+def _tv_run():
+    seqs, ns = _similarity_sequence(10, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
+    return learn_time_varying(seqs, ns, SolverConfig(delta=100.0))
+
+
+@pytest.mark.parametrize("run", [_mle_run, _subproblem_run, _tv_run])
+def test_lazy_gradient_bitwise_equal_to_eager_spg(monkeypatch, run):
+    lazy, lazy_traces, lazy_inv = _counted_run(monkeypatch, run)
+    eager, eager_traces, eager_inv = _counted_run(monkeypatch, run, reference_ops.eager_spg)
+    if isinstance(lazy, tuple):
+        (L_lazy, rep_lazy), (L_eager, rep_eager) = lazy, eager
+        assert bitwise_equal(L_lazy, L_eager)
+        assert _same_report(rep_lazy, rep_eager)
+    else:
+        assert len(lazy) == len(eager)
+        for a, b in zip(lazy, eager):
+            assert bitwise_equal(a, b)
+    assert len(lazy_traces) == len(eager_traces) >= 1
+    for a, b in zip(lazy_traces, eager_traces):
+        assert bitwise_equal(a, b)
+    # the eager reference really ran: it inverts on rejected trials too
+    assert eager_inv > lazy_inv
+
+
+@pytest.mark.parametrize("run", [_mle_run, _subproblem_run, _tv_run])
+def test_one_inverse_per_trace_entry(monkeypatch, run):
+    # a trace holds the start value plus one entry per accepted step, and
+    # those are exactly the points whose gradient SPG asks for
+    _, traces, inv_calls = _counted_run(monkeypatch, run)
+    assert inv_calls == sum(len(tr) for tr in traces) > 0
+
+
+def _toy_quadratic(bad_point=None):
+    """0.5 (w - 4)^2 in one weight; ``grad()`` fails at ``bad_point``."""
+    calls = {"fun": [], "grad": []}
+
+    def fun(w):
+        calls["fun"].append(float(w[0]))
+
+        def grad():
+            calls["grad"].append(float(w[0]))
+            return None if w[0] == bad_point else w - 4.0
+
+        return 0.5 * float((w[0] - 4.0) ** 2), grad
+
+    return fun, calls
+
+
+def test_spg_backtracks_when_an_accepted_trial_has_no_gradient():
+    # from w=0 the first trial is w=1 (step 1/4 along -g=4), which passes
+    # Armijo; without its gradient the line search must halve to w=0.5
+    fun, calls = _toy_quadratic()
+    w, _, _, _, conv, trace = solvers._spg(fun, np.zeros(1), 1e-10, 100)
+    assert calls["fun"][:2] == [0.0, 1.0] and trace[1] == 4.5
+    assert conv and w[0] == pytest.approx(4.0)
+
+    fun, calls = _toy_quadratic(bad_point=1.0)
+    w, _, _, _, conv, trace = solvers._spg(fun, np.zeros(1), 1e-10, 100)
+    assert calls["fun"][:3] == [0.0, 1.0, 0.5]
+    assert calls["grad"][:3] == [0.0, 1.0, 0.5]
+    assert trace[1] == 0.5 * 3.5**2
+    assert 1.0 not in calls["grad"][3:]
+    assert conv and w[0] == pytest.approx(4.0)
+    # the gradient ran once per trace entry, plus the one refused trial
+    assert len(calls["grad"]) == len(trace) + 1
+
+
+def test_spg_rejects_an_infeasible_start():
+    def never(*_):
+        raise AssertionError("gradient requested at an infeasible value")
+
+    for fun in (
+        lambda w: (np.inf, None),
+        lambda w: (np.inf, never),
+        lambda w: (1.0, lambda: None),
+    ):
+        with pytest.raises(ValueError, match="infeasible starting point"):
+            solvers._spg(fun, np.ones(3), 1e-7, 10)
