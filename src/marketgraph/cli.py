@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import compute_indicators, strategy_s1, strategy_s2
+from .analytics import IndicatorSeries, compute_indicators, strategy_s1, strategy_s2
 from .laplacian import laplacian_from_weights, num_components, pair_indices
 from .preprocessing import (
     PricePanel,
@@ -229,8 +229,6 @@ def write_indicators_csv(path, indicators) -> None:
 
 
 def read_indicators_csv(path):
-    from .analytics import IndicatorSeries
-
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"indicator file not found: {path}")
@@ -403,7 +401,13 @@ def cmd_learn(r: dict) -> int:
     return EXIT_OK if converged else EXIT_NONCONVERGED
 
 
-def _rolling_windows(returns: ReturnsPanel, window: int, stride: int):
+def _rolling_graphs(returns: ReturnsPanel, r: dict):
+    """Time-varying graphs over the rolling windows of ``returns``.
+
+    Returns ``(L_seq, spans)``, where ``spans`` holds each window's first
+    and last date.
+    """
+    window, stride = r["window"], r["stride"]
     if window < 2:
         raise ValidationError("window length must be at least 2")
     if stride < 1:
@@ -412,29 +416,26 @@ def _rolling_windows(returns: ReturnsPanel, window: int, stride: int):
         raise ValidationError(
             f"{returns.n} return rows are fewer than one window of {window}"
         )
-    return list(range(0, returns.n - window + 1, stride))
+    cfg = _solver_config(r)
+    S_seq, n_seq, spans = [], [], []
+    for s in range(0, returns.n - window + 1, stride):
+        chunk = ReturnsPanel(
+            dates=returns.dates[s : s + window],
+            tickers=returns.tickers,
+            returns=returns.returns[s : s + window],
+        )
+        S_seq.append(_similarity(chunk, r["scale"]))
+        n_seq.append(chunk.n)
+        spans.append((chunk.dates[0], chunk.dates[-1]))
+    return learn_time_varying(S_seq, n_seq, cfg), spans
 
 
 def cmd_learn_tv(r: dict) -> int:
     outdir = Path(r["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     returns = _prepared_returns(r)
-    starts = _rolling_windows(returns, r["window"], r["stride"])
-    cfg = _solver_config(r)
-
     t0 = time.perf_counter()
-    S_seq, n_seq, window_dates, spans = [], [], [], []
-    for s in starts:
-        chunk = ReturnsPanel(
-            dates=returns.dates[s : s + r["window"]],
-            tickers=returns.tickers,
-            returns=returns.returns[s : s + r["window"]],
-        )
-        S_seq.append(_similarity(chunk, r["scale"]))
-        n_seq.append(chunk.n)
-        window_dates.append(chunk.dates[-1])
-        spans.append((chunk.dates[0], chunk.dates[-1]))
-    L_seq = learn_time_varying(S_seq, n_seq, cfg)
+    L_seq, spans = _rolling_graphs(returns, r)
     wall = time.perf_counter() - t0
 
     for t, L in enumerate(L_seq):
@@ -444,7 +445,7 @@ def cmd_learn_tv(r: dict) -> int:
         out.writerow(["window", "start_date", "end_date"])
         for t, (d0, d1) in enumerate(spans):
             out.writerow([t, d0.isoformat(), d1.isoformat()])
-    indicators = compute_indicators(L_seq, window_dates)
+    indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
     write_indicators_csv(outdir / "indicators.csv", indicators)
     write_meta(
         outdir,
@@ -464,20 +465,8 @@ def cmd_backtest(r: dict) -> int:
     if r["indicators"]:
         indicators = read_indicators_csv(r["indicators"])
     else:
-        est_returns = _prepared_returns(r)
-        starts = _rolling_windows(est_returns, r["window"], r["stride"])
-        S_seq, n_seq, window_dates = [], [], []
-        for s in starts:
-            chunk = ReturnsPanel(
-                dates=est_returns.dates[s : s + r["window"]],
-                tickers=est_returns.tickers,
-                returns=est_returns.returns[s : s + r["window"]],
-            )
-            S_seq.append(_similarity(chunk, r["scale"]))
-            n_seq.append(chunk.n)
-            window_dates.append(chunk.dates[-1])
-        L_seq = learn_time_varying(S_seq, n_seq, _solver_config(r))
-        indicators = compute_indicators(L_seq, window_dates)
+        L_seq, spans = _rolling_graphs(_prepared_returns(r), r)
+        indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
         write_indicators_csv(outdir / "indicators.csv", indicators)
 
     s1 = strategy_s1(returns)

@@ -132,15 +132,12 @@ def correlation_from_covariance(S: SimilarityMatrix) -> SimilarityMatrix:
 
 
 def remove_market_factor(
-    panel: ReturnsPanel,
-    market: np.ndarray | None = None,
-    intercept: bool = True,
+    panel: ReturnsPanel, market: np.ndarray | None = None
 ) -> MarketRemoval:
     """Regress each asset on the market series and return the residual panel.
 
     ``market`` defaults to the cross-sectional mean return.  The regression
-    includes an intercept unless ``intercept=False`` (returns are near
-    zero-mean, so either choice is defensible).
+    includes an intercept.
     """
     X = panel.returns
     if market is None:
@@ -152,13 +149,9 @@ def remove_market_factor(
     if mvar <= 0:
         raise ValueError("market series has zero variance")
 
-    if intercept:
-        m0 = market - market.mean()
-        beta = (m0 @ (X - X.mean(axis=0))) / (m0 @ m0)
-        alpha = X.mean(axis=0) - beta * market.mean()
-    else:
-        beta = (market @ X) / (market @ market)
-        alpha = np.zeros(panel.p)
+    m0 = market - market.mean()
+    beta = (m0 @ (X - X.mean(axis=0))) / (m0 @ m0)
+    alpha = X.mean(axis=0) - beta * market.mean()
     resid = X - np.outer(market, beta) - alpha
     return MarketRemoval(
         residuals=ReturnsPanel(panel.dates, panel.tickers, resid),

@@ -18,6 +18,16 @@ gradient (SPG) kernel with a monotone Armijo line search.  Degree
 equality constraints are enforced by an augmented Lagrangian around that
 kernel.
 
+The MLE, the degree-constrained step of the k-component solver and each
+block of the time-varying solver minimize one penalized Gaussian
+likelihood, built by :func:`_likelihood`:
+
+    c @ w - log det(L(w) + N)                      every solver
+      + y @ r + (rho/2) ||r||^2,  r = deg(w) - 1   degree AL (k-component)
+      + coupling * sum_M ||L(w) - M||_F^2          neighbours (time-varying)
+
+The smooth baseline has no log-determinant and keeps its own objective.
+
 Every objective returns its value and a zero-argument gradient closure.
 The Armijo test needs the value alone, and it rejects most trial points,
 so the value costs one Laplacian build and one Cholesky log-determinant
@@ -26,7 +36,7 @@ penalty gradients.  SPG calls it only where it needs the gradient, at the
 start point and at an accepted step.
 
 The log pseudo-determinant of a connected-graph Laplacian is evaluated as
-log det(L + (1/p) 11^T): the rank-one correction spans the constant null
+log det(L + (1/p) 11^T): the rank-one correction N spans the constant null
 direction and leaves the positive spectrum untouched.  The k-component
 solver generalizes the correction to the current spectral subspace so the
 bottom eigenvalues can reach exactly zero with a finite objective.
@@ -140,26 +150,47 @@ def _chol_logdet(A: np.ndarray) -> float | None:
     return 2.0 * float(np.sum(np.log(diag)))
 
 
-def _logdet_term(A: np.ndarray, c: np.ndarray):
-    """``(log det A, grad)`` for the weight-space term ``c @ w - log det A``.
+def _likelihood(p, c, N, anchors=(), coupling=0.0, dual=None, rho=0.0):
+    """The objective ``fun(w) -> (value, grad)`` of the module docstring.
 
-    ``A = L(w) + const`` is symmetric.  The log-determinant comes from a
-    Cholesky factor and is None when ``A`` is not PD or the value is not
-    finite.  ``grad()`` returns ``c - laplacian_adjoint(inv(A))``, the
-    term's gradient, or None when ``inv`` fails.
+    The value is ``c @ w - log det(L(w) + N)`` (+inf where ``L(w) + N`` is
+    not PD), plus the degree AL term when ``dual`` (the multiplier ``y``)
+    is given and ``coupling * ||L(w) - M||_F^2`` for each ``M`` in
+    ``anchors``.  ``grad()`` inverts ``L(w) + N`` once, applies the
+    adjoints and adds the penalty gradients; it returns None when ``inv``
+    fails.
     """
-    logdet = _chol_logdet(A)
-    if logdet is None or not np.isfinite(logdet):
-        return None, None
 
-    def grad():
-        try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            return None
-        return c - laplacian_adjoint(Ainv)
+    def fun(w):
+        L = laplacian_from_weights(w, p)
+        A = L + N
+        logdet = _chol_logdet(A)
+        if logdet is None or not np.isfinite(logdet):
+            return np.inf, None
+        f = float(c @ w) - logdet
+        if dual is not None:
+            r = degrees_from_weights(w, p) - 1.0
+            # not f += ...: the order of this sum is part of the results
+            f = f + float(dual @ r) + 0.5 * rho * float(r @ r)
+        diffs = [L - M for M in anchors]
+        for D in diffs:
+            f += coupling * float(np.sum(D * D))
 
-    return logdet, grad
+        def grad():
+            try:
+                Ainv = np.linalg.inv(A)
+            except np.linalg.LinAlgError:
+                return None
+            g = c - laplacian_adjoint(Ainv)
+            if dual is not None:
+                g += dual_to_pairs(dual + rho * r)
+            for D in diffs:
+                g += 2.0 * coupling * laplacian_adjoint(D)
+            return g
+
+        return f, grad
+
+    return fun
 
 
 def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
@@ -243,14 +274,7 @@ def learn_connected_mle(S, cfg: SolverConfig | None = None):
     m = pair_count(p)
     # ||L||_off,1 = 2 sum(w) for nonnegative weights: a linear term
     c = laplacian_adjoint(Se) + 2.0 * cfg.alpha
-    J = np.full((p, p), 1.0 / p)
-
-    def fun(w):
-        logdet, grad = _logdet_term(laplacian_from_weights(w, p) + J, c)
-        if logdet is None:
-            return np.inf, None
-        return float(c @ w) - logdet, grad
-
+    fun = _likelihood(p, c, np.full((p, p), 1.0 / p))
     w0 = np.full(m, 1.0 / (p - 1))
     w, f, g, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
     L = laplacian_from_weights(w, p)
@@ -366,19 +390,7 @@ def solve_l_subproblem(
     converged = False
 
     for _ in range(cfg.max_outer_iters):
-        def fun(wv, _y=y, _rho=rho):
-            logdet, base_grad = _logdet_term(laplacian_from_weights(wv, p) + N, c)
-            if logdet is None:
-                return np.inf, None
-            r = degrees_from_weights(wv, p) - 1.0
-            f = float(c @ wv) - logdet + float(_y @ r) + 0.5 * _rho * float(r @ r)
-
-            def grad():
-                g = base_grad()
-                return None if g is None else g + dual_to_pairs(_y + _rho * r)
-
-            return f, grad
-
+        fun = _likelihood(p, c, N, dual=y, rho=rho)
         w, _, _, iters, conv_inner, _ = _spg(fun, w, cfg.inner_tol, cfg.inner_max_iters)
         total_iters += iters
         r = degrees_from_weights(w, p) - 1.0
@@ -531,35 +543,6 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
     cs = [laplacian_adjoint(St) for St in mats]
     delta = cfg.delta
 
-    def solve_block(s, w_init, L_prev, L_next):
-        # block objective divided by n_s: same minimizer, static-solver scale
-        scaled_delta = delta / n_seq[s]
-        c = cs[s]
-
-        def fun(wv):
-            L = laplacian_from_weights(wv, p)
-            logdet, base_grad = _logdet_term(L + J, c)
-            if logdet is None:
-                return np.inf, None
-            f = float(c @ wv) - logdet
-            diffs = [L - M for M in (L_prev, L_next) if M is not None]
-            for D in diffs:
-                f += scaled_delta * float(np.sum(D * D))
-
-            def grad():
-                g = base_grad()
-                if g is None:
-                    return None
-                for D in diffs:
-                    g += 2.0 * scaled_delta * laplacian_adjoint(D)
-                return g
-
-            return f, grad
-
-        w_out, *_ = _spg(fun, w_init, cfg.inner_tol, cfg.inner_max_iters)
-        return w_out
-
-    iu = pair_indices(p)
     estimates: list[np.ndarray] = []
     weight_hist: list[np.ndarray] = []
     uniform = np.full(m, 1.0 / (p - 1))
@@ -570,27 +553,23 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
         blocks.append(weight_hist[t - 1].copy() if t > 0 else uniform.copy())
         anchor = estimates[a - 1] if a > 0 else None
 
-        if len(blocks) == 1:
-            prev = anchor if delta > 0 and t > 0 else None
-            blocks[0] = solve_block(t, blocks[0], prev, None)
-        else:
-            for _ in range(cfg.max_outer_iters):
-                before = np.concatenate(blocks)
-                for j, s in enumerate(range(a, t + 1)):
-                    if s == a:
-                        L_prev = anchor if delta > 0 else None
-                    else:
-                        L_prev = laplacian_from_weights(blocks[j - 1], p) if delta > 0 else None
-                    L_next = (
-                        laplacian_from_weights(blocks[j + 1], p)
-                        if delta > 0 and s < t
-                        else None
-                    )
-                    blocks[j] = solve_block(s, blocks[j], L_prev, L_next)
-                after = np.concatenate(blocks)
-                rel = np.linalg.norm(after - before) / max(np.linalg.norm(before), 1e-30)
-                if rel <= cfg.outer_tol:
-                    break
+        for _ in range(cfg.max_outer_iters if len(blocks) > 1 else 1):
+            before = np.concatenate(blocks)
+            for j, s in enumerate(range(a, t + 1)):
+                anchors = []
+                if delta > 0:
+                    # the coupled neighbours: the graph before the block
+                    # (frozen or in the window) and the one after it
+                    prev = anchor if s == a else laplacian_from_weights(blocks[j - 1], p)
+                    nxt = laplacian_from_weights(blocks[j + 1], p) if s < t else None
+                    anchors = [M for M in (prev, nxt) if M is not None]
+                # block objective divided by n_s: same minimizer, static-solver scale
+                fun = _likelihood(p, cs[s], J, anchors, delta / n_seq[s])
+                blocks[j] = _spg(fun, blocks[j], cfg.inner_tol, cfg.inner_max_iters)[0]
+            after = np.concatenate(blocks)
+            rel = np.linalg.norm(after - before) / max(np.linalg.norm(before), 1e-30)
+            if rel <= cfg.outer_tol:
+                break
 
         weight_hist.append(blocks[-1])
         estimates.append(laplacian_from_weights(blocks[-1], p))

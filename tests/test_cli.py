@@ -377,6 +377,32 @@ def test_backtest_with_stored_indicators(tmp_path, tv_run):
     assert meta["config"]["tau"] == 1.0  # paper default honored
 
 
+def test_backtest_estimates_the_learn_tv_indicators(tmp_path, tv_run):
+    data, run = tv_run
+    out = tmp_path / "bt_est"
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--window", "30",
+                 "--stride", "1", "--delta", "20", "--output-dir", str(out)]) == EXIT_OK
+    assert (out / "indicators.csv").read_bytes() == (run / "indicators.csv").read_bytes()
+    stored = tmp_path / "bt_stored"
+    assert main(["backtest", "--input", str(data / "prices.csv"),
+                 "--indicators", str(run / "indicators.csv"),
+                 "--output-dir", str(stored)]) == EXIT_OK
+    assert (out / "pnl.csv").read_bytes() == (stored / "pnl.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["learn-tv", "backtest"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "1", "window length must be at least 2"),
+    ("--stride", "0", "stride must be at least 1"),
+])
+def test_rolling_window_flags_are_validated(tmp_path, tv_run, capsys, command, flag, value, message):
+    data, _ = tv_run
+    code = main([command, "--input", str(data / "prices.csv"), flag, value,
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 def test_backtest_s1_column_matches_running_mean_return(tmp_path, tv_run):
     data, run = tv_run
     out = tmp_path / "bt_s1"

@@ -303,6 +303,16 @@ def test_tv_delta_zero_matches_static():
         assert np.abs(L - L_static).max() <= 1e-6
 
 
+@pytest.mark.parametrize("delta", [0.0, 100.0])
+def test_one_window_tv_is_the_mle_bitwise(delta):
+    # one window has no neighbour to couple to: the time-varying solver
+    # minimizes the MLE objective from the same start, float for float
+    seqs, _ = _similarity_sequence(5, p=10, seed=7, level=lambda t: 0.1 + 0.15 * t)
+    cfg = SolverConfig(alpha=0.0, delta=delta)
+    for S in seqs:
+        assert bitwise_equal(learn_time_varying([S], [30], cfg)[0], learn_connected_mle(S, cfg)[0])
+
+
 def test_tv_constant_input_is_fixed_point():
     seqs, _ = _similarity_sequence(1, seed=2)
     Ls = learn_time_varying([seqs[0]] * 6, [30] * 6, SolverConfig(delta=100.0))
@@ -394,18 +404,22 @@ def _with_reference_operators(monkeypatch, run):
     return results
 
 
+# memory=2 at delta=100 runs all 300 block sweeps at the first joint window
+TV_CONFIGS = [SolverConfig(delta=100.0), SolverConfig(delta=20.0, memory=2)]
+
+
 def test_tv_bitwise_equal_to_reference_operators(monkeypatch):
     seqs, ns = _similarity_sequence(10, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
-    cfg = SolverConfig(delta=100.0)
-    (fast, fast_traces), (slow, slow_traces) = _with_reference_operators(
-        monkeypatch, lambda: learn_time_varying(seqs, ns, cfg)
-    )
-    assert len(fast) == len(slow) == 10
-    for a, b in zip(fast, slow):
-        assert bitwise_equal(a, b)
-    assert len(fast_traces) == len(slow_traces) >= 10
-    for a, b in zip(fast_traces, slow_traces):
-        assert bitwise_equal(a, b)
+    for cfg in TV_CONFIGS:
+        (fast, fast_traces), (slow, slow_traces) = _with_reference_operators(
+            monkeypatch, lambda: learn_time_varying(seqs, ns, cfg)
+        )
+        assert len(fast) == len(slow) == 10
+        for a, b in zip(fast, slow):
+            assert bitwise_equal(a, b)
+        assert len(fast_traces) == len(slow_traces) >= 10
+        for a, b in zip(fast_traces, slow_traces):
+            assert bitwise_equal(a, b)
 
 
 def test_subproblem_bitwise_equal_to_reference_operators(monkeypatch):
@@ -470,12 +484,16 @@ def _subproblem_run():
     return solve_l_subproblem(random_spd(np.random.default_rng(8), 10))
 
 
-def _tv_run():
+def _tv_run(cfg=TV_CONFIGS[0]):
     seqs, ns = _similarity_sequence(10, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
-    return learn_time_varying(seqs, ns, SolverConfig(delta=100.0))
+    return learn_time_varying(seqs, ns, cfg)
 
 
-@pytest.mark.parametrize("run", [_mle_run, _subproblem_run, _tv_run])
+def _tv_memory2_run():
+    return _tv_run(TV_CONFIGS[1])
+
+
+@pytest.mark.parametrize("run", [_mle_run, _subproblem_run, _tv_run, _tv_memory2_run])
 def test_lazy_gradient_bitwise_equal_to_eager_spg(monkeypatch, run):
     lazy, lazy_traces, lazy_inv = _counted_run(monkeypatch, run)
     eager, eager_traces, eager_inv = _counted_run(monkeypatch, run, reference_ops.eager_spg)
