@@ -13,7 +13,6 @@ from marketgraph import (
     SolverConfig,
     correlation_from_covariance,
     distance_matrix,
-    laplacian_from_weights,
     learn_connected_mle,
     learn_smooth_graph,
     normalize_columns,
@@ -51,8 +50,8 @@ def main():
     describe(f"penalized MLE ({report.iterations} iterations)", L_mle, returns.tickers)
 
     Z = distance_matrix(normalize_columns(returns))
-    w = learn_smooth_graph(Z, SolverConfig(alpha=1.0, gamma=1.0))
-    describe("smooth-signal baseline", laplacian_from_weights(w), returns.tickers)
+    L_smooth, report = learn_smooth_graph(Z, SolverConfig(alpha=1.0, gamma=1.0))
+    describe(f"smooth-signal baseline ({report.iterations} iterations)", L_smooth, returns.tickers)
 
 
 if __name__ == "__main__":

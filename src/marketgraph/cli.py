@@ -17,14 +17,13 @@ import datetime
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analytics import IndicatorSeries, compute_indicators, strategy_s1, strategy_s2
-from .laplacian import laplacian_from_weights, num_components, pair_indices
+from .laplacian import laplacian_from_weights, num_components, pair_indices  # noqa: F401 (traced)
 from .preprocessing import (
     PricePanel,
     ReturnsPanel,
@@ -328,9 +327,10 @@ def _solver_config(r: dict) -> SolverConfig:
     )
 
 
-def _prepared_returns(r: dict) -> ReturnsPanel:
-    panel = ingest_prices(r["input"], ffill=r["ffill"])
-    returns = log_returns(panel)
+def _prepared_returns(r: dict, returns: ReturnsPanel | None = None) -> ReturnsPanel:
+    """The log returns of ``r["input"]`` (or the given ones), market removed if asked."""
+    if returns is None:
+        returns = log_returns(ingest_prices(r["input"], ffill=r["ffill"]))
     if r["market"] == "remove":
         market = None
         if r["market_column"]:
@@ -368,37 +368,29 @@ def cmd_learn(r: dict) -> int:
     t0 = time.perf_counter()
 
     if r["k"] > 1:
-        S = _similarity(returns, r["scale"])
-        L, report = learn_k_component(S, cfg)
+        L, report = learn_k_component(_similarity(returns, r["scale"]), cfg)
     elif r["method"] == "smooth":
         if r["alpha"] <= 0:
             raise ValidationError("--method smooth requires --alpha > 0")
         X = normalize_columns(returns) if r["scale"] == "correlation" else returns
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            w = learn_smooth_graph(distance_matrix(X), cfg)
-        L = laplacian_from_weights(w, returns.p)
-        report = None
-        converged = not any("did not reach tolerance" in str(c.message) for c in caught)
+        L, report = learn_smooth_graph(distance_matrix(X), cfg)
     else:
         L, report = learn_connected_mle(_similarity(returns, r["scale"]), cfg)
     wall = time.perf_counter() - t0
 
-    if report is not None:
-        converged = report.converged
     write_matrix_csv(outdir / "laplacian.csv", L, returns.tickers)
     n_edges = write_edges_csv(outdir / "edges.csv", L, returns.tickers)
     extra = {
-        "converged": bool(converged),
-        "iterations": report.iterations if report else None,
-        "objective": float(report.objective_trace[-1]) if report is not None and len(report.objective_trace) else None,
-        "constraint_residuals": dict(report.constraint_residuals) if report else {},
+        "converged": bool(report.converged),
+        "iterations": report.iterations,
+        "objective": float(report.objective_trace[-1]),
+        "constraint_residuals": dict(report.constraint_residuals),
         "nullity": int(num_components(L)),
         "n_edges": n_edges,
         "wall_time_s": wall,
     }
     write_meta(outdir, "learn", r, extra)
-    return EXIT_OK if converged else EXIT_NONCONVERGED
+    return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
 def _rolling_graphs(returns: ReturnsPanel, r: dict):
@@ -465,7 +457,7 @@ def cmd_backtest(r: dict) -> int:
     if r["indicators"]:
         indicators = read_indicators_csv(r["indicators"])
     else:
-        L_seq, spans = _rolling_graphs(_prepared_returns(r), r)
+        L_seq, spans = _rolling_graphs(_prepared_returns(r, returns), r)
         indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
         write_indicators_csv(outdir / "indicators.csv", indicators)
 

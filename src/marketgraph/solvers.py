@@ -19,12 +19,15 @@ equality constraints are enforced by an augmented Lagrangian around that
 kernel.
 
 The MLE, the degree-constrained step of the k-component solver and each
-block of the time-varying solver minimize one penalized Gaussian
-likelihood, built by :func:`_likelihood`:
+window of the time-varying solver minimize one penalized Gaussian
+likelihood over a stack of weight blocks w_0, ..., w_{B-1}, built by
+:func:`_likelihood`:
 
-    c @ w - log det(L(w) + N)                      every solver
-      + y @ r + (rho/2) ||r||^2,  r = deg(w) - 1   degree AL (k-component)
-      + coupling * sum_M ||L(w) - M||_F^2          neighbours (time-varying)
+    sum_b s_b [c_b @ w_b - log det(L(w_b) + N)]     every solver
+      + y @ r + (rho/2) ||r||^2,  r = deg(w) - 1     degree AL (k-component)
+        + coupling * sum_b ||L(w_b) - L(w_{b-1})||_F^2  time-varying window
+
+The static solvers pass one block, a time-varying window one per graph.
 
 The smooth baseline has no log-determinant and keeps its own objective.
 
@@ -82,6 +85,10 @@ class SolverConfig:
     weight of the smooth baseline, ``eta`` the spectral (rank) penalty of
     the k-component solver, ``delta`` the temporal coupling weight and
     ``memory`` the joint-history length of the time-varying solver.
+
+    ``max_outer_iters`` caps the dual rounds of :func:`solve_l_subproblem`
+    and the alternations of :func:`learn_k_component`, which also stop once
+    L changes by at most ``outer_tol`` (relative); no other solver loops.
     """
 
     max_outer_iters: int = 300
@@ -150,43 +157,52 @@ def _chol_logdet(A: np.ndarray) -> float | None:
     return 2.0 * float(np.sum(np.log(diag)))
 
 
-def _likelihood(p, c, N, anchors=(), coupling=0.0, dual=None, rho=0.0):
+def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, rho=0.0):
     """The objective ``fun(w) -> (value, grad)`` of the module docstring.
 
-    The value is ``c @ w - log det(L(w) + N)`` (+inf where ``L(w) + N`` is
-    not PD), plus the degree AL term when ``dual`` (the multiplier ``y``)
-    is given and ``coupling * ||L(w) - M||_F^2`` for each ``M`` in
-    ``anchors``.  ``grad()`` inverts ``L(w) + N`` once, applies the
-    adjoints and adds the penalty gradients; it returns None when ``inv``
-    fails.
+    ``w`` stacks one block per cost vector in ``cs``, each scaled by its
+    entry of ``scales``; the value is +inf where an ``L(w_b) + N`` is not
+    PD.  The degree AL term (one block only) joins when ``dual`` (the
+    multiplier ``y``) is given, and the coupling over the chain ``anchor,
+    L(w_0), L(w_1), ...`` when ``coupling`` is nonzero.  ``grad()`` inverts
+    each ``L(w_b) + N`` once, applies the adjoints and adds the penalty
+    gradients; it returns None when ``inv`` fails.
     """
 
     def fun(w):
-        L = laplacian_from_weights(w, p)
-        A = L + N
-        logdet = _chol_logdet(A)
-        if logdet is None or not np.isfinite(logdet):
-            return np.inf, None
-        f = float(c @ w) - logdet
+        Ls, As, f = [], [], 0.0
+        for c, scale, wb in zip(cs, scales, w.reshape(len(cs), -1)):
+            L = laplacian_from_weights(wb, p)
+            A = L + N
+            logdet = _chol_logdet(A)
+            if logdet is None or not np.isfinite(logdet):
+                return np.inf, None
+            f += scale * (float(c @ wb) - logdet)
+            Ls.append(L)
+            As.append(A)
         if dual is not None:
             r = degrees_from_weights(w, p) - 1.0
             # not f += ...: the order of this sum is part of the results
             f = f + float(dual @ r) + 0.5 * rho * float(r @ r)
-        diffs = [L - M for M in anchors]
+        chain = Ls if anchor is None else [anchor] + Ls
+        diffs = [hi - lo for lo, hi in zip(chain, chain[1:])] if coupling else []
         for D in diffs:
             f += coupling * float(np.sum(D * D))
 
         def grad():
             try:
-                Ainv = np.linalg.inv(A)
+                G = np.array([scale * (c - laplacian_adjoint(np.linalg.inv(A)))
+                              for c, scale, A in zip(cs, scales, As)])
             except np.linalg.LinAlgError:
                 return None
-            g = c - laplacian_adjoint(Ainv)
             if dual is not None:
-                g += dual_to_pairs(dual + rho * r)
-            for D in diffs:
-                g += 2.0 * coupling * laplacian_adjoint(D)
-            return g
+                G[0] += dual_to_pairs(dual + rho * r)
+            for j, D in enumerate(diffs, start=len(Ls) - len(diffs)):  # D = L_j - L_{j-1}
+                gD = 2.0 * coupling * laplacian_adjoint(D)
+                G[j] += gD
+                if j > 0:
+                    G[j - 1] -= gD
+            return G.ravel()
 
         return f, grad
 
@@ -257,6 +273,19 @@ def _row_sum_residual(L: np.ndarray) -> float:
     return float(np.abs(L.sum(axis=1)).max())
 
 
+def _spg_report(L: np.ndarray, iters: int, trace: list, converged: bool) -> SolveReport:
+    """The report of a solver that is one SPG call."""
+    nullity = num_components(L)
+    return SolveReport(
+        iterations=iters,
+        objective_trace=np.asarray(trace),
+        constraint_residuals={"row_sum": _row_sum_residual(L), "sign": 0.0},
+        converged=converged,
+        connected=nullity == 1,
+        nullity=nullity,
+    )
+
+
 def learn_connected_mle(S, cfg: SolverConfig | None = None):
     """Penalized maximum-likelihood Laplacian estimation.
 
@@ -274,35 +303,28 @@ def learn_connected_mle(S, cfg: SolverConfig | None = None):
     m = pair_count(p)
     # ||L||_off,1 = 2 sum(w) for nonnegative weights: a linear term
     c = laplacian_adjoint(Se) + 2.0 * cfg.alpha
-    fun = _likelihood(p, c, np.full((p, p), 1.0 / p))
+    fun = _likelihood(p, [c], np.full((p, p), 1.0 / p))
     w0 = np.full(m, 1.0 / (p - 1))
     w, f, g, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
     L = laplacian_from_weights(w, p)
-    nullity = num_components(L)
-    connected = nullity == 1
-    if not connected:
+    report = _spg_report(L, iters, trace, conv)
+    if not report.connected:
         warnings.warn(
-            f"MLE solution has {nullity} components", DisconnectedGraphWarning,
+            f"MLE solution has {report.nullity} components", DisconnectedGraphWarning,
             stacklevel=2,
         )
-    report = SolveReport(
-        iterations=iters,
-        objective_trace=np.asarray(trace),
-        constraint_residuals={"row_sum": _row_sum_residual(L), "sign": 0.0},
-        converged=conv,
-        connected=connected,
-        nullity=nullity,
-    )
     return L, report
 
 
-def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None) -> np.ndarray:
+def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None):
     """Smooth-signal graph learning with a log-degree barrier.
 
     Minimizes ``(1/2) tr(WZ) - alpha 1^T log(W1) + (gamma/2) ||W||_F^2``
     over symmetric nonnegative adjacency matrices with zero diagonal,
     expressed in the edge-weight vector.  The barrier forces every node
-    degree strictly positive.  Returns the weight vector.
+    degree strictly positive, but not connectivity.
+
+    Returns ``(L, report)``.
     """
     cfg = cfg or SolverConfig()
     Z = np.asarray(Z, dtype=float)
@@ -324,10 +346,9 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None) -> np.nda
         return f, lambda: z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w
 
     w0 = np.full(pair_count(p), 1.0 / (p - 1))
-    w, _, _, _, conv, _ = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
-    if not conv:
-        warnings.warn("smooth-graph solve did not reach tolerance", stacklevel=2)
-    return w
+    w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
+    L = laplacian_from_weights(w, p)
+    return L, _spg_report(L, iters, trace, conv)
 
 
 def fan_subspace(L: np.ndarray, k: int) -> np.ndarray:
@@ -390,7 +411,7 @@ def solve_l_subproblem(
     converged = False
 
     for _ in range(cfg.max_outer_iters):
-        fun = _likelihood(p, c, N, dual=y, rho=rho)
+        fun = _likelihood(p, [c], N, dual=y, rho=rho)
         w, _, _, iters, conv_inner, _ = _spg(fun, w, cfg.inner_tol, cfg.inner_max_iters)
         total_iters += iters
         r = degrees_from_weights(w, p) - 1.0
@@ -508,17 +529,20 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
     """Causal time-varying graph estimation.
 
     For each time t the estimate minimizes the joint penalized likelihood
-    over the last ``min(memory, t)`` graphs,
+    over the last ``min(memory, t + 1)`` graphs,
 
         sum_s n_s [tr(S_s L_s) - log gdet(L_s)] + delta sum_s ||L_s - L_{s-1}||_F^2,
 
-    with graphs before the window frozen at their stored estimates.  Only
-    data up to and including t is touched, so the output is a causal
-    sequence: running on a prefix reproduces the prefix bit for bit.
+    with graphs before the window frozen at their stored estimates.  It is
+    jointly convex, and one SPG call over the window's stacked weights
+    solves it, warm-started from the stored estimates (the newest graph
+    from the previous one).  Only data up to and including t is touched,
+    so the output is a causal sequence: running on a prefix reproduces the
+    prefix bit for bit.
 
     ``memory=1`` (the default) keeps only the coupling to the previous
-    estimate and warm-starts from it; ``memory=T`` recovers the full joint
-    program at O(T^2) cost.
+    estimate; ``memory=T`` recovers the full joint program at O(T^2) cost.
+    At ``delta=0`` the graphs decouple, so only the newest one is solved.
 
     Returns the list of estimated Laplacians.
     """
@@ -541,37 +565,20 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
     m = pair_count(p)
     J = np.full((p, p), 1.0 / p)
     cs = [laplacian_adjoint(St) for St in mats]
-    delta = cfg.delta
 
     estimates: list[np.ndarray] = []
-    weight_hist: list[np.ndarray] = []
-    uniform = np.full(m, 1.0 / (p - 1))
+    weight_hist = [np.full(m, 1.0 / (p - 1))]  # [s + 1] holds graph s; [0] the uniform start
 
     for t in range(len(mats)):
-        a = max(0, t - cfg.memory + 1)
-        blocks = [weight_hist[s].copy() for s in range(a, t)]
-        blocks.append(weight_hist[t - 1].copy() if t > 0 else uniform.copy())
+        # delta = 0 decouples the blocks, and the older ones are solved already
+        a = max(0, t - cfg.memory + 1) if cfg.delta > 0 else t
+        w0 = np.concatenate(weight_hist[a + 1 : t + 1] + weight_hist[t : t + 1])
+        # the window objective divided by n_t: for one block the static-solver scale
+        scales = [n / n_seq[t] for n in n_seq[a : t + 1]]
         anchor = estimates[a - 1] if a > 0 else None
-
-        for _ in range(cfg.max_outer_iters if len(blocks) > 1 else 1):
-            before = np.concatenate(blocks)
-            for j, s in enumerate(range(a, t + 1)):
-                anchors = []
-                if delta > 0:
-                    # the coupled neighbours: the graph before the block
-                    # (frozen or in the window) and the one after it
-                    prev = anchor if s == a else laplacian_from_weights(blocks[j - 1], p)
-                    nxt = laplacian_from_weights(blocks[j + 1], p) if s < t else None
-                    anchors = [M for M in (prev, nxt) if M is not None]
-                # block objective divided by n_s: same minimizer, static-solver scale
-                fun = _likelihood(p, cs[s], J, anchors, delta / n_seq[s])
-                blocks[j] = _spg(fun, blocks[j], cfg.inner_tol, cfg.inner_max_iters)[0]
-            after = np.concatenate(blocks)
-            rel = np.linalg.norm(after - before) / max(np.linalg.norm(before), 1e-30)
-            if rel <= cfg.outer_tol:
-                break
-
-        weight_hist.append(blocks[-1])
-        estimates.append(laplacian_from_weights(blocks[-1], p))
+        fun = _likelihood(p, cs[a : t + 1], J, scales, anchor, cfg.delta / n_seq[t])
+        w = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)[0][-m:]
+        weight_hist.append(w)
+        estimates.append(laplacian_from_weights(w, p))
 
     return estimates

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from marketgraph import solvers
-from marketgraph.laplacian import laplacian_from_weights
 from marketgraph.preprocessing import correlation_from_covariance, distance_matrix, sample_covariance
 from marketgraph.solvers import SolverConfig
 from marketgraph.synthetic import random_k_component_graph, sample_gmrf, simulate_factor_market
@@ -50,8 +49,7 @@ def _planted_gmrf(p, n):
 
 
 def _smooth():
-    Z = distance_matrix(_planted_gmrf(10, 200))
-    return laplacian_from_weights(solvers.learn_smooth_graph(Z, SolverConfig(alpha=1.0)), 10)
+    return solvers.learn_smooth_graph(distance_matrix(_planted_gmrf(10, 200)), SolverConfig(alpha=1.0))
 
 
 def _k_component():

@@ -200,7 +200,7 @@ def test_c01_constraint_suite():
         produced.append((L, False))
 
     Z = distance_matrix(sample_gmrf(planted.L_true, 100, seed=4))
-    produced.append((laplacian_from_weights(learn_smooth_graph(Z, SolverConfig(alpha=1.0))), False))
+    produced.append((learn_smooth_graph(Z, SolverConfig(alpha=1.0))[0], False))
 
     ok = True
     for L, degree_path in produced:
@@ -219,8 +219,8 @@ def test_c02_closed_form_oracles():
     L, _ = learn_connected_mle(S)
     err_mle = abs(-L[0, 1] - 1.0)
 
-    w = learn_smooth_graph(np.zeros((2, 2)), SolverConfig(alpha=1.0, gamma=1.0))
-    err_smooth = abs(w[0] - 1.0)
+    L, _ = learn_smooth_graph(np.zeros((2, 2)), SolverConfig(alpha=1.0, gamma=1.0))
+    err_smooth = abs(-L[0, 1] - 1.0)
     ok = err_mle <= 1e-6 and err_smooth <= 1e-6
     assert report(2, ok, f"|w-1| = {err_mle:.2e} (MLE), {err_smooth:.2e} (smooth)")
 

@@ -207,6 +207,10 @@ def test_learn_smooth_method(tmp_path, gmrf_prices):
     assert code == EXIT_OK
     L, _ = read_matrix_csv(out / "laplacian.csv")
     assert np.abs(L.sum(axis=1)).max() <= 1e-9
+    # the smooth baseline reports like every other solver
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["converged"] is True and meta["iterations"] > 0
+    assert np.isfinite(meta["objective"]) and meta["constraint_residuals"]["sign"] == 0.0
 
 
 def test_learn_smooth_requires_positive_alpha(tmp_path, gmrf_prices, capsys):
@@ -270,7 +274,7 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
     import marketgraph.cli as climod
 
     def fake_solver(S, cfg):
-        p = S.entries.shape[0]
+        p = np.shape(getattr(S, "entries", S))[0]
         return np.zeros((p, p)), SolveReport(
             iterations=1,
             objective_trace=np.array([0.0]),
@@ -278,12 +282,15 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
             converged=False,
         )
 
-    monkeypatch.setattr(climod, "learn_connected_mle", fake_solver)
-    out = tmp_path / "nc"
-    code = main(["learn", "--input", str(gmrf_prices), "--output-dir", str(out)])
-    assert code == EXIT_NONCONVERGED
-    assert (out / "laplacian.csv").exists()  # artifacts still written
-    assert json.loads((out / "meta.json").read_text())["converged"] is False
+    # the MLE and the smooth baseline report non-convergence the same way
+    for solver, flags in (("learn_connected_mle", []),
+                          ("learn_smooth_graph", ["--method", "smooth", "--alpha", "1.0"])):
+        monkeypatch.setattr(climod, solver, fake_solver)
+        out = tmp_path / solver
+        code = main(["learn", "--input", str(gmrf_prices), "--output-dir", str(out)] + flags)
+        assert code == EXIT_NONCONVERGED
+        assert (out / "laplacian.csv").exists()  # artifacts still written
+        assert json.loads((out / "meta.json").read_text())["converged"] is False
 
 
 # --- learn-tv and indicators -----------------------------------------------------
@@ -388,6 +395,23 @@ def test_backtest_estimates_the_learn_tv_indicators(tmp_path, tv_run):
                  "--indicators", str(run / "indicators.csv"),
                  "--output-dir", str(stored)]) == EXIT_OK
     assert (out / "pnl.csv").read_bytes() == (stored / "pnl.csv").read_bytes()
+
+
+@pytest.mark.parametrize("market", ["keep", "remove"])
+def test_estimating_backtest_parses_the_prices_once(tmp_path, tv_run, monkeypatch, market):
+    import marketgraph.cli as climod
+
+    data, _ = tv_run
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ingest_prices(*args, **kwargs)
+
+    monkeypatch.setattr(climod, "ingest_prices", counted)
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--market", market,
+                 "--delta", "20", "--output-dir", str(tmp_path / "bt")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["learn-tv", "backtest"])

@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from marketgraph import solvers
 from marketgraph.laplacian import (
@@ -119,15 +120,16 @@ def test_smooth_p2_closed_form_grid():
     for z in (0.0, 0.5, 1.0, 2.0):
         for alpha, gamma in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
             Z = np.array([[0.0, z], [z, 0.0]])
-            w = learn_smooth_graph(Z, SolverConfig(alpha=alpha, gamma=gamma))
+            L, report = learn_smooth_graph(Z, SolverConfig(alpha=alpha, gamma=gamma))
             expected = (-z + np.sqrt(z * z + 16.0 * alpha * gamma)) / (4.0 * gamma)
-            assert w[0] == pytest.approx(expected, abs=1e-6)
+            assert report.converged
+            assert weight_of(L, 0, 1) == pytest.approx(expected, abs=1e-6)
 
 
 def test_smooth_weights_decrease_with_distance():
     cfg = SolverConfig(alpha=1.0, gamma=1.0)
     weights = [
-        learn_smooth_graph(np.array([[0.0, z], [z, 0.0]]), cfg)[0]
+        weight_of(learn_smooth_graph(np.array([[0.0, z], [z, 0.0]]), cfg)[0], 0, 1)
         for z in (0.0, 0.5, 1.0, 2.0, 4.0)
     ]
     assert all(a > b for a, b in zip(weights, weights[1:]))
@@ -136,7 +138,8 @@ def test_smooth_weights_decrease_with_distance():
 def test_smooth_p3_symmetry():
     Z = np.full((3, 3), 2.0)
     np.fill_diagonal(Z, 0.0)
-    w = learn_smooth_graph(Z, SolverConfig(alpha=1.0, gamma=1.0))
+    L, _ = learn_smooth_graph(Z, SolverConfig(alpha=1.0, gamma=1.0))
+    w = -L[pair_indices(3)]
     assert np.abs(w - w[0]).max() <= 1e-7
 
 
@@ -340,13 +343,74 @@ def test_tv_prefix_invariance_bitwise():
 
 def test_tv_memory_window_runs_and_stays_causal():
     seqs, ns = _similarity_sequence(5, p=5, seed=5, level=lambda t: 0.2 + 0.1 * t)
-    cfg = SolverConfig(delta=50.0, memory=2, outer_tol=1e-4)
+    cfg = SolverConfig(delta=50.0, memory=2)
     full = learn_time_varying(seqs, ns, cfg)
     prefix = learn_time_varying(seqs[:3], ns[:3], cfg)
     for L in full:
         validate_laplacian(L)
     for a, b in zip(prefix, full[:3]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("memory", [2, 3])
+def test_tv_memory_is_inert_at_delta_zero(memory):
+    # delta = 0 decouples the windows: the older graphs of a joint window are
+    # already solved, so only the newest one is, from the same warm start
+    seqs, ns = _similarity_sequence(5, p=8, seed=6, level=lambda t: 0.1 + 0.07 * t)
+    ref = learn_time_varying(seqs, ns, SolverConfig(delta=0.0))
+    for a, b in zip(learn_time_varying(seqs, ns, SolverConfig(delta=0.0, memory=memory)), ref):
+        assert bitwise_equal(a, b)
+
+
+@pytest.mark.parametrize("memory, delta", [(1, 100.0), (2, 0.0), (3, 100.0)])
+def test_tv_solves_each_window_with_one_spg_call(monkeypatch, memory, delta):
+    seqs, ns = _similarity_sequence(5, p=6, seed=6, level=lambda t: 0.1 + 0.07 * t)
+    traces = _traced_spg(monkeypatch)
+    learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=memory))
+    assert len(traces) == 5
+
+
+def _joint_program(seqs, ns, delta):
+    """The docstring program of ``learn_time_varying`` over all of ``seqs``,
+    on the reference operators, as ``x -> (value, gradient)``."""
+    p, T = seqs[0].entries.shape[0], len(seqs)
+    J = np.full((p, p), 1.0 / p)
+    cs = [reference_ops.laplacian_adjoint(S.entries) for S in seqs]
+
+    def fg(x):
+        W = x.reshape(T, -1)
+        Ls = [reference_ops.laplacian_from_weights(w, p) for w in W]
+        f, G = 0.0, np.zeros_like(W)
+        for s in range(T):
+            sign, logdet = np.linalg.slogdet(Ls[s] + J)
+            if sign <= 0:
+                return 1e10, np.zeros_like(x)
+            f += ns[s] * (cs[s] @ W[s] - logdet)
+            G[s] += ns[s] * (cs[s] - reference_ops.laplacian_adjoint(np.linalg.inv(Ls[s] + J)))
+        for s in range(1, T):
+            D = Ls[s] - Ls[s - 1]
+            f += delta * np.sum(D * D)
+            G[s] += 2.0 * delta * reference_ops.laplacian_adjoint(D)
+            G[s - 1] -= 2.0 * delta * reference_ops.laplacian_adjoint(D)
+        return f, G.ravel()
+
+    return fg
+
+
+@pytest.mark.parametrize("delta", [20.0, 100.0])
+def test_tv_full_memory_matches_the_joint_program(delta):
+    # at memory = T the last window is the whole joint program, so the last
+    # graph must be the joint minimizer's newest one.  Gaps to this oracle:
+    # 3.0e-6 (delta 20) and 1.3e-5 (delta 100) for one joint SPG per window;
+    # 3.0e-4 and 1.8e-3 for the cyclic block sweeps it replaced
+    seqs, ns = _similarity_sequence(3, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
+    L_last = learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=3))[-1]
+    m = 8 * 7 // 2
+    res = minimize(_joint_program(seqs, ns, delta), np.full(3 * m, 1.0 / 7), jac=True,
+                   method="L-BFGS-B", bounds=[(0.0, None)] * (3 * m),
+                   options=dict(maxiter=50000, maxfun=100000, ftol=0.0, gtol=1e-12, maxcor=30))
+    L_oracle = reference_ops.laplacian_from_weights(res.x[-m:], 8)
+    assert np.abs(L_last - L_oracle).max() <= 1e-4
 
 
 def test_tv_validates_inputs():
@@ -404,8 +468,7 @@ def _with_reference_operators(monkeypatch, run):
     return results
 
 
-# memory=2 at delta=100 runs all 300 block sweeps at the first joint window
-TV_CONFIGS = [SolverConfig(delta=100.0), SolverConfig(delta=20.0, memory=2)]
+TV_CONFIGS = [SolverConfig(delta=100.0), SolverConfig(delta=100.0, memory=2)]
 
 
 def test_tv_bitwise_equal_to_reference_operators(monkeypatch):
