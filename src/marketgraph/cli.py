@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import IndicatorSeries, compute_indicators, strategy_s1, strategy_s2
-from .laplacian import laplacian_from_weights, num_components, pair_indices  # noqa: F401 (traced)
+from .laplacian import laplacian_from_weights, num_components, pair_indices  # noqa: F401 (perfbench traces it)
 from .preprocessing import (
     PricePanel,
     ReturnsPanel,

@@ -20,14 +20,12 @@ kernel.
 
 The MLE, the degree-constrained step of the k-component solver and each
 window of the time-varying solver minimize one penalized Gaussian
-likelihood over a stack of weight blocks w_0, ..., w_{B-1}, built by
-:func:`_likelihood`:
+likelihood over weight blocks w_0, ..., w_{B-1} (one per graph of the
+window, else one), built by :func:`_likelihood`:
 
-    sum_b s_b [c_b @ w_b - log det(L(w_b) + N)]     every solver
-      + y @ r + (rho/2) ||r||^2,  r = deg(w) - 1     degree AL (k-component)
-        + coupling * sum_b ||L(w_b) - L(w_{b-1})||_F^2  time-varying window
-
-The static solvers pass one block, a time-varying window one per graph.
+    sum_b s_b [c_b @ w_b - log det(L(w_b) + N)]       every solver
+      + y @ r + (rho/2) ||r||^2,  r = deg(w) - 1       degree AL (k-component)
+      + coupling * sum_b ||L(w_b) - L(w_{b-1})||_F^2   time-varying window
 
 The smooth baseline has no log-determinant and keeps its own objective.
 
@@ -47,6 +45,7 @@ bottom eigenvalues can reach exactly zero with a finite objective.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -160,49 +159,51 @@ def _chol_logdet(A: np.ndarray) -> float | None:
 def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, rho=0.0):
     """The objective ``fun(w) -> (value, grad)`` of the module docstring.
 
-    ``w`` stacks one block per cost vector in ``cs``, each scaled by its
-    entry of ``scales``; the value is +inf where an ``L(w_b) + N`` is not
-    PD.  The degree AL term (one block only) joins when ``dual`` (the
-    multiplier ``y``) is given, and the coupling over the chain ``anchor,
-    L(w_0), L(w_1), ...`` when ``coupling`` is nonzero.  ``grad()`` inverts
-    each ``L(w_b) + N`` once, applies the adjoints and adds the penalty
-    gradients; it returns None when ``inv`` fails.
+    ``w`` stacks one block per cost vector in ``cs``, scaled by ``scales``;
+    the value is +inf where an ``L(w_b) + N`` is not PD.  The degree AL term
+    (one block only) joins when ``dual`` (the multiplier ``y``) is given,
+    and the coupling over the chain ``anchor, L(w_0), L(w_1), ...`` when
+    ``coupling`` is nonzero.  ``grad()`` inverts each ``L(w_b) + N`` once,
+    applies the adjoints and adds the penalty gradients; it returns None
+    when ``inv`` fails.
     """
+    m = len(cs[0])
 
     def fun(w):
-        Ls, As, f = [], [], 0.0
-        for c, scale, wb in zip(cs, scales, w.reshape(len(cs), -1)):
+        As, diffs, f, prev = [], [], 0.0, anchor
+        for b, (c, scale) in enumerate(zip(cs, scales)):
+            wb = w[b * m : (b + 1) * m]
             L = laplacian_from_weights(wb, p)
             A = L + N
             logdet = _chol_logdet(A)
-            if logdet is None or not np.isfinite(logdet):
+            if logdet is None or not math.isfinite(logdet):  # np.isfinite: ~1 us per call
                 return np.inf, None
             f += scale * (float(c @ wb) - logdet)
-            Ls.append(L)
+            if coupling and prev is not None:
+                diffs.append(L - prev)
             As.append(A)
+            prev = L
         if dual is not None:
             r = degrees_from_weights(w, p) - 1.0
             # not f += ...: the order of this sum is part of the results
             f = f + float(dual @ r) + 0.5 * rho * float(r @ r)
-        chain = Ls if anchor is None else [anchor] + Ls
-        diffs = [hi - lo for lo, hi in zip(chain, chain[1:])] if coupling else []
         for D in diffs:
             f += coupling * float(np.sum(D * D))
 
         def grad():
             try:
-                G = np.array([scale * (c - laplacian_adjoint(np.linalg.inv(A)))
-                              for c, scale, A in zip(cs, scales, As)])
+                G = [scale * (c - laplacian_adjoint(np.linalg.inv(A)))
+                     for c, scale, A in zip(cs, scales, As)]
             except np.linalg.LinAlgError:
                 return None
             if dual is not None:
                 G[0] += dual_to_pairs(dual + rho * r)
-            for j, D in enumerate(diffs, start=len(Ls) - len(diffs)):  # D = L_j - L_{j-1}
+            for j, D in enumerate(diffs, start=len(As) - len(diffs)):  # D = L_j - L_{j-1}
                 gD = 2.0 * coupling * laplacian_adjoint(D)
                 G[j] += gD
                 if j > 0:
                     G[j - 1] -= gD
-            return G.ravel()
+            return np.concatenate(G)
 
         return f, grad
 
@@ -273,10 +274,11 @@ def _row_sum_residual(L: np.ndarray) -> float:
     return float(np.abs(L.sum(axis=1)).max())
 
 
-def _spg_report(L: np.ndarray, iters: int, trace: list, converged: bool) -> SolveReport:
-    """The report of a solver that is one SPG call."""
+def _spg_result(p: int, w: np.ndarray, iters: int, trace: list, converged: bool):
+    """``(L, report)`` of a solver that is one SPG call ending at ``w``."""
+    L = laplacian_from_weights(w, p)
     nullity = num_components(L)
-    return SolveReport(
+    return L, SolveReport(
         iterations=iters,
         objective_trace=np.asarray(trace),
         constraint_residuals={"row_sum": _row_sum_residual(L), "sign": 0.0},
@@ -306,8 +308,7 @@ def learn_connected_mle(S, cfg: SolverConfig | None = None):
     fun = _likelihood(p, [c], np.full((p, p), 1.0 / p))
     w0 = np.full(m, 1.0 / (p - 1))
     w, f, g, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
-    L = laplacian_from_weights(w, p)
-    report = _spg_report(L, iters, trace, conv)
+    L, report = _spg_result(p, w, iters, trace, conv)
     if not report.connected:
         warnings.warn(
             f"MLE solution has {report.nullity} components", DisconnectedGraphWarning,
@@ -347,8 +348,7 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None):
 
     w0 = np.full(pair_count(p), 1.0 / (p - 1))
     w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
-    L = laplacian_from_weights(w, p)
-    return L, _spg_report(L, iters, trace, conv)
+    return _spg_result(p, w, iters, trace, conv)
 
 
 def fan_subspace(L: np.ndarray, k: int) -> np.ndarray:
