@@ -230,7 +230,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
     """
     w = np.asarray(w0, dtype=float).copy()
     f, grad = fun(w)
-    g = grad() if np.isfinite(f) else None
+    g = grad() if math.isfinite(f) else None
     if g is None:
         raise ValueError("infeasible starting point for projected gradient")
     step = 1.0 / max(1.0, float(np.abs(g).max()))
@@ -252,7 +252,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
                 continue
             gd = float(g @ dw)
             f_new, grad = fun(w_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * gd:
+            if math.isfinite(f_new) and f_new <= f + 1e-4 * gd:
                 g_new = grad()
                 if g_new is not None:
                     accepted = True
