@@ -14,7 +14,7 @@ Four entry points:
 All solvers optimize over the nonnegative edge-weight vector, so symmetry,
 zero row sums and the off-diagonal sign constraint hold by construction;
 the only inequality left is w >= 0, handled by a spectral projected
-gradient (SPG) kernel with a monotone Armijo line search.  Degree
+gradient (SPG) kernel with a nonmonotone Armijo line search.  Degree
 equality constraints are enforced by an augmented Lagrangian around that
 kernel.
 
@@ -210,16 +210,32 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
     return fun
 
 
+# values the nonmonotone Armijo reference spans (Birgin, Martinez & Raydan 2000)
+_GLL_MEMORY = 10
+
+
 def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
     """Projected gradient over the nonnegative orthant with BB steps.
 
     ``fun(w)`` returns ``(value, grad)``, where ``grad()`` computes the
     gradient at ``w`` or returns None where it cannot; a value of +inf marks
-    an infeasible point.  The Armijo test reads the value alone, and most
-    trial points fail it, so ``grad()`` runs only at the start point and at
-    a trial point that passes the test.  A None there rejects the trial just
-    as an infeasible value does (the line search backs off), so the iterates
-    are the same floats as with a gradient computed on every call.
+    an infeasible point.  The Armijo test reads the value alone, so
+    ``grad()`` runs only at the start point and at a trial point that
+    passes the test.  A None there rejects the trial just as an infeasible
+    value does (the line search backs off), so the iterates are the same
+    floats as with a gradient computed on every call.
+
+    The line search is nonmonotone (Grippo, Lampariello & Lucidi 1986), as
+    in the SPG of Birgin, Martinez & Raydan (2000): a trial passes the
+    Armijo test against the largest of the last ``_GLL_MEMORY`` accepted
+    values, not against the current one.  The BB step then survives the
+    small rises it causes, and near the minimum, where rounding noise in
+    the objective swamps the predicted decrease, the search no longer
+    halves its way to the trial cap.  M = 10 is their value; M = 1 is the
+    monotone search.  The objective trace can therefore rise between
+    entries, though never above the maximum of the M before it, and it
+    ends below its start.  Solvers that promise monotone descent say so on
+    their own outer trace (the k-component alternation does).
 
     Terminates when the KKT residual -- the gradient on free coordinates,
     clipped to its negative part on active ones -- falls below ``tol`` in
@@ -241,6 +257,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
         if np.abs(resid).max() <= eff_tol:
             return w, f, g, it - 1, True, trace
         t = step
+        f_ref = max(trace[-_GLL_MEMORY:])
         accepted = False
         for _ in range(60):
             w_new = np.maximum(w - t * g, 0.0)
@@ -252,7 +269,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
                 continue
             gd = float(g @ dw)
             f_new, grad = fun(w_new)
-            if math.isfinite(f_new) and f_new <= f + 1e-4 * gd:
+            if math.isfinite(f_new) and f_new <= f_ref + 1e-4 * gd:
                 g_new = grad()
                 if g_new is not None:
                     accepted = True

@@ -99,11 +99,19 @@ def record(name):
     }
 
 
+def _summary(entry):
+    """sha256 prefix, SPG call count and total SPG iterations of an entry."""
+    if entry is None:
+        return "(none)"
+    iters = entry["spg_iterations"]
+    return f"{entry['sha256'][:12]}, {len(iters)} SPG calls, {sum(iters):,} iterations"
+
+
 def main(names):
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     for name in names or CASES:
-        golden[name] = record(name)
-        print(name, golden[name]["sha256"][:16], len(golden[name]["spg_iterations"]), "SPG calls")
+        old, golden[name] = golden.get(name), record(name)
+        print(f"{name}: {_summary(old)} -> {_summary(golden[name])}")
     lines = [f"{json.dumps(name)}: {json.dumps(entry)}" for name, entry in sorted(golden.items())]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 

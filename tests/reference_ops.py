@@ -98,6 +98,7 @@ def eager_spg(fun, w0, tol, max_iter):
         if np.abs(resid).max() <= eff_tol:
             return w, f, g, it - 1, True, trace
         t = step
+        f_ref = max(trace[-10:])
         accepted = False
         for _ in range(60):
             w_new = np.maximum(w - t * g, 0.0)
@@ -107,7 +108,7 @@ def eager_spg(fun, w0, tol, max_iter):
                 continue
             gd = float(g @ dw)
             f_new, g_new = evaluate(w_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * gd:
+            if np.isfinite(f_new) and f_new <= f_ref + 1e-4 * gd:
                 accepted = True
                 break
             t *= 0.5

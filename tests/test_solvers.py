@@ -108,9 +108,13 @@ def test_mle_returns_valid_laplacian():
         L, report = learn_connected_mle(random_spd(rng, 6))
         validate_laplacian(L)
         assert report.converged
-        # objective trace is monotone under the Armijo line search
+        # the nonmonotone Armijo search accepts a value only below the
+        # largest of the (up to) 10 accepted before it
         tr = report.objective_trace
-        assert np.all(np.diff(tr) <= 1e-12 * np.maximum(1.0, np.abs(tr[:-1])))
+        for i in range(1, len(tr)):
+            ref = tr[max(0, i - 10) : i].max()
+            assert tr[i] <= ref + 1e-12 * max(1.0, abs(ref))
+        assert tr[-1] < tr[0]
 
 
 # --- learn_smooth_graph -----------------------------------------------------
@@ -368,6 +372,37 @@ def test_tv_solves_each_window_with_one_spg_call(monkeypatch, memory, delta):
     traces = _traced_spg(monkeypatch)
     learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=memory))
     assert len(traces) == 5
+
+
+def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
+    # 41 stride-1 windows of 30 rows at p=20 across a correlation regime
+    # change.  A monotone Armijo search stalls at the rounding floor here: 5
+    # windows give up after 60 halvings, and the panel takes 7,392 objective
+    # evaluations.  The nonmonotone search takes about 1,900.
+    returns = simulate_factor_market(20, 70, regimes=((35, 0.1), (35, 0.8)), seed=3).returns.returns
+    S_seq = [np.corrcoef(returns[s : s + 30], rowvar=False) for s in range(41)]
+    evaluations, flags = [], []
+    likelihood, spg = solvers._likelihood, solvers._spg
+
+    def counted_likelihood(*args, **kwargs):
+        fun = likelihood(*args, **kwargs)
+
+        def counted(w):
+            evaluations.append(1)
+            return fun(w)
+
+        return counted
+
+    def flagged_spg(*args, **kwargs):
+        out = spg(*args, **kwargs)
+        flags.append(out[4])
+        return out
+
+    monkeypatch.setattr(solvers, "_likelihood", counted_likelihood)
+    monkeypatch.setattr(solvers, "_spg", flagged_spg)
+    learn_time_varying(S_seq, [30] * 41, SolverConfig())
+    assert len(flags) == 41 and all(flags)
+    assert len(evaluations) <= 3000
 
 
 def _joint_program(seqs, ns, delta):
