@@ -35,7 +35,7 @@ def main():
         ns.append(WINDOW)
         dates.append(chunk.dates[-1])
 
-    L_seq = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
+    L_seq, reports = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
     ind = compute_indicators(L_seq, dates)
     lam2 = ind.algebraic_connectivity
 
@@ -47,7 +47,8 @@ def main():
              for t in range(2, T - 2)]
     change = int(np.argmax(stats)) + 2
 
-    print(f"{T} rolling windows of {WINDOW} days")
+    print(f"{T} rolling windows of {WINDOW} days, "
+          f"{sum(r.converged for r in reports)} solved to tolerance")
     print(f"mean connectivity: calm {calm:.3f}   crisis {crisis:.3f}")
     print(f"change point at window {change}; first all-crisis window is {boundary}")
     print("\nconnectivity series (every 5th window):")

@@ -39,7 +39,7 @@ def main():
         S_seq.append(correlation_from_covariance(sample_covariance(chunk)))
         ns.append(WINDOW)
         dates.append(chunk.dates[-1])
-    L_seq = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
+    L_seq, _ = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
     ind = compute_indicators(L_seq, dates)
 
     s1 = strategy_s1(R)

@@ -396,8 +396,9 @@ def cmd_learn(r: dict) -> int:
 def _rolling_graphs(returns: ReturnsPanel, r: dict):
     """Time-varying graphs over the rolling windows of ``returns``.
 
-    Returns ``(L_seq, spans)``, where ``spans`` holds each window's first
-    and last date.
+    Returns ``(L_seq, convergence, spans)``: ``convergence`` holds the
+    ``meta.json`` fields ``converged`` and ``unconverged_windows`` (window
+    indices), and ``spans`` each window's first and last date.
     """
     window, stride = r["window"], r["stride"]
     if window < 2:
@@ -419,7 +420,9 @@ def _rolling_graphs(returns: ReturnsPanel, r: dict):
         S_seq.append(_similarity(chunk, r["scale"]))
         n_seq.append(chunk.n)
         spans.append((chunk.dates[0], chunk.dates[-1]))
-    return learn_time_varying(S_seq, n_seq, cfg), spans
+    L_seq, reports = learn_time_varying(S_seq, n_seq, cfg)
+    unconverged = [t for t, report in enumerate(reports) if not report.converged]
+    return L_seq, {"converged": not unconverged, "unconverged_windows": unconverged}, spans
 
 
 def cmd_learn_tv(r: dict) -> int:
@@ -427,7 +430,7 @@ def cmd_learn_tv(r: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     returns = _prepared_returns(r)
     t0 = time.perf_counter()
-    L_seq, spans = _rolling_graphs(returns, r)
+    L_seq, convergence, spans = _rolling_graphs(returns, r)
     wall = time.perf_counter() - t0
 
     for t, L in enumerate(L_seq):
@@ -443,9 +446,9 @@ def cmd_learn_tv(r: dict) -> int:
         outdir,
         "learn-tv",
         r,
-        {"n_windows": len(L_seq), "wall_time_s": wall, "converged": True},
+        {"n_windows": len(L_seq), "wall_time_s": wall, **convergence},
     )
-    return EXIT_OK
+    return EXIT_OK if convergence["converged"] else EXIT_NONCONVERGED
 
 
 def cmd_backtest(r: dict) -> int:
@@ -456,8 +459,9 @@ def cmd_backtest(r: dict) -> int:
 
     if r["indicators"]:
         indicators = read_indicators_csv(r["indicators"])
+        convergence = {"converged": True}  # no solver ran
     else:
-        L_seq, spans = _rolling_graphs(_prepared_returns(r, returns), r)
+        L_seq, convergence, spans = _rolling_graphs(_prepared_returns(r, returns), r)
         indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
         write_indicators_csv(outdir / "indicators.csv", indicators)
 
@@ -480,13 +484,13 @@ def cmd_backtest(r: dict) -> int:
         "backtest",
         r,
         {
-            "converged": True,
+            **convergence,
             "final_s1": float(s1.cumulative_pnl[-1]),
             "final_s2": float(s2.cumulative_pnl[-1]),
             "days_invested": int(s2.positions.sum()),
         },
     )
-    return EXIT_OK
+    return EXIT_OK if convergence["converged"] else EXIT_NONCONVERGED
 
 
 def _parse_regimes(text: str):

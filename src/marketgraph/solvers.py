@@ -542,7 +542,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
     return L, report
 
 
-def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np.ndarray]:
+def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     """Causal time-varying graph estimation.
 
     For each time t the estimate minimizes the joint penalized likelihood
@@ -561,12 +561,15 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
     estimate; ``memory=T`` recovers the full joint program at O(T^2) cost.
     At ``delta=0`` the graphs decouple, so only the newest one is solved.
 
-    Returns the list of estimated Laplacians.
+    Returns ``(L_seq, reports)``: the estimated Laplacians and one
+    :class:`SolveReport` per window, whose iterations, objective trace and
+    convergence flag are those of the window's SPG call (for ``memory > 1``
+    the trace is of the joint window objective).
     """
     cfg = cfg or SolverConfig()
     mats = [_entries(S) for S in S_seq]
     if not mats:
-        return []
+        return [], []
     p = _check_similarity(mats[0])
     for St in mats[1:]:
         if _check_similarity(St) != p:
@@ -583,7 +586,7 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
     J = np.full((p, p), 1.0 / p)
     cs = [laplacian_adjoint(St) for St in mats]
 
-    estimates: list[np.ndarray] = []
+    estimates, reports = [], []
     weight_hist = [np.full(m, 1.0 / (p - 1))]  # [s + 1] holds graph s; [0] the uniform start
 
     for t in range(len(mats)):
@@ -594,8 +597,10 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None) -> list[np
         scales = [n / n_seq[t] for n in n_seq[a : t + 1]]
         anchor = estimates[a - 1] if a > 0 else None
         fun = _likelihood(p, cs[a : t + 1], J, scales, anchor, cfg.delta / n_seq[t])
-        w = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)[0][-m:]
-        weight_hist.append(w)
-        estimates.append(laplacian_from_weights(w, p))
+        w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
+        L, report = _spg_result(p, w[-m:], iters, trace, conv)
+        weight_hist.append(w[-m:])
+        estimates.append(L)
+        reports.append(report)
 
-    return estimates
+    return estimates, reports

@@ -196,7 +196,7 @@ def test_c01_constraint_suite():
     produced.append((L, True))
 
     S_seq, ns, _, _ = regime_similarity_sequence(3, p=6, reg_len=33, window=30)
-    for L in learn_time_varying(S_seq[:4], ns[:4], SolverConfig(delta=50.0)):
+    for L in learn_time_varying(S_seq[:4], ns[:4], SolverConfig(delta=50.0))[0]:
         produced.append((L, False))
 
     Z = distance_matrix(sample_gmrf(planted.L_true, 100, seed=4))
@@ -312,20 +312,20 @@ def test_c07_time_varying_limits():
     # delta = 0 equals independent static solves
     S_seq, ns, _, _ = regime_similarity_sequence(21, p=6, reg_len=33, window=30)
     tight = SolverConfig(delta=0.0, inner_tol=1e-9)
-    Ls = learn_time_varying(S_seq[:5], ns[:5], tight)
+    Ls, _ = learn_time_varying(S_seq[:5], ns[:5], tight)
     gap_static = max(
         float(np.abs(L - learn_connected_mle(S, tight)[0]).max())
         for S, L in zip(S_seq[:5], Ls)
     )
 
     # constant input gives constant output
-    Lc = learn_time_varying([S_seq[0]] * 5, [30] * 5, SolverConfig(delta=100.0))
+    Lc, _ = learn_time_varying([S_seq[0]] * 5, [30] * 5, SolverConfig(delta=100.0))
     gap_const = max(float(np.abs(L - Lc[0]).max()) for L in Lc[1:])
 
     # delta 1e8 strictly reduces every time-consistency entry vs delta 100
     S_seq, ns, _, _ = regime_similarity_sequence(22, p=6, reg_len=34, window=30)
-    L_mid = learn_time_varying(S_seq, ns, SolverConfig(delta=100.0))
-    L_big = learn_time_varying(S_seq, ns, SolverConfig(delta=1e8))
+    L_mid, _ = learn_time_varying(S_seq, ns, SolverConfig(delta=100.0))
+    L_big, _ = learn_time_varying(S_seq, ns, SolverConfig(delta=1e8))
     tc_mid = [float(np.sum((L_mid[t + 1] - L_mid[t]) ** 2)) for t in range(len(L_mid) - 1)]
     tc_big = [float(np.sum((L_big[t + 1] - L_big[t]) ** 2)) for t in range(len(L_big) - 1)]
     strict = all(b < m for b, m in zip(tc_big, tc_mid))
@@ -342,8 +342,8 @@ def test_c08_causality_prefix_invariance():
     S_seq, ns, _, _ = regime_similarity_sequence(23, p=6, reg_len=25, window=26)
     S_seq, ns = S_seq[:20], ns[:20]
     cfg = SolverConfig(delta=100.0)
-    full = learn_time_varying(S_seq, ns, cfg)
-    prefix = learn_time_varying(S_seq[:12], ns[:12], cfg)
+    full, _ = learn_time_varying(S_seq, ns, cfg)
+    prefix, _ = learn_time_varying(S_seq[:12], ns[:12], cfg)
     ok = all(np.array_equal(a, b) for a, b in zip(prefix, full[:12]))
     assert report(8, ok, "T=20 vs T=12 prefixes bitwise identical")
 
@@ -440,7 +440,7 @@ def test_c13_crisis_indicator():
     details = []
     for seed in range(5):
         S_seq, ns, dates, boundary = regime_similarity_sequence(seed)
-        Ls = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
+        Ls, _ = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
         lam2 = compute_indicators(Ls, dates).algebraic_connectivity
         window = 30
         low_mean = float(lam2[: boundary - window + 1].mean())

@@ -177,7 +177,7 @@ def test_s2_positions_are_causal_through_the_pipeline():
             S_seq.append(correlation_from_covariance(sample_covariance(chunk)))
             ns.append(window)
             dates.append(chunk.dates[-1])
-        Ls = learn_time_varying(S_seq, ns, SolverConfig(delta=50.0))
+        Ls, _ = learn_time_varying(S_seq, ns, SolverConfig(delta=50.0))
         ind = compute_indicators(Ls, dates)
         return strategy_s2(panel, ind, tau=1.5).positions
 

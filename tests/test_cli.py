@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime
 import json
 
@@ -292,6 +293,24 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
         assert (out / "laplacian.csv").exists()  # artifacts still written
         assert json.loads((out / "meta.json").read_text())["converged"] is False
 
+    # learn-tv and the estimating backtest name the windows that did not converge
+    real = climod.learn_time_varying
+
+    def one_window_unconverged(S_seq, n_seq, cfg):
+        L_seq, reports = real(S_seq, n_seq, cfg)
+        reports[1] = dataclasses.replace(reports[1], converged=False)
+        return L_seq, reports
+
+    monkeypatch.setattr(climod, "learn_time_varying", one_window_unconverged)
+    for command, artifact in (("learn-tv", "laplacian_0001.csv"), ("backtest", "pnl.csv")):
+        out = tmp_path / command
+        code = main([command, "--input", str(gmrf_prices), "--window", "30", "--stride", "30",
+                     "--output-dir", str(out)])
+        assert code == EXIT_NONCONVERGED
+        assert (out / artifact).exists()
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["converged"] is False and meta["unconverged_windows"] == [1]
+
 
 # --- learn-tv and indicators -----------------------------------------------------
 
@@ -314,6 +333,7 @@ def test_learn_tv_window_count(tv_run):
     assert len(sorted(out.glob("laplacian_*.csv"))) == 40
     meta = json.loads((out / "meta.json").read_text())
     assert meta["n_windows"] == 40
+    assert meta["converged"] is True and meta["unconverged_windows"] == []
     rows = list(csv.reader((out / "indicators.csv").open()))
     assert len(rows) == 41  # header + one row per window
     assert rows[1][3] == "" and rows[2][3] != ""  # first row has no consistency
@@ -382,6 +402,7 @@ def test_backtest_with_stored_indicators(tmp_path, tv_run):
     assert len(rows) == 70  # header + 69 return days
     meta = json.loads((out / "meta.json").read_text())
     assert meta["config"]["tau"] == 1.0  # paper default honored
+    assert meta["converged"] is True and "unconverged_windows" not in meta  # no solver ran
 
 
 def test_backtest_estimates_the_learn_tv_indicators(tmp_path, tv_run):
@@ -390,6 +411,8 @@ def test_backtest_estimates_the_learn_tv_indicators(tmp_path, tv_run):
     assert main(["backtest", "--input", str(data / "prices.csv"), "--window", "30",
                  "--stride", "1", "--delta", "20", "--output-dir", str(out)]) == EXIT_OK
     assert (out / "indicators.csv").read_bytes() == (run / "indicators.csv").read_bytes()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["converged"] is True and meta["unconverged_windows"] == []
     stored = tmp_path / "bt_stored"
     assert main(["backtest", "--input", str(data / "prices.csv"),
                  "--indicators", str(run / "indicators.csv"),

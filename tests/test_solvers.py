@@ -304,7 +304,7 @@ def _similarity_sequence(T, p=6, seed=0, level=lambda t: 0.3):
 def test_tv_delta_zero_matches_static():
     seqs, ns = _similarity_sequence(5, seed=1)
     cfg = SolverConfig(delta=0.0, inner_tol=1e-9)
-    Ls = learn_time_varying(seqs, ns, cfg)
+    Ls, _ = learn_time_varying(seqs, ns, cfg)
     for S, L in zip(seqs, Ls):
         L_static, _ = learn_connected_mle(S, cfg)
         assert np.abs(L - L_static).max() <= 1e-6
@@ -313,24 +313,28 @@ def test_tv_delta_zero_matches_static():
 @pytest.mark.parametrize("delta", [0.0, 100.0])
 def test_one_window_tv_is_the_mle_bitwise(delta):
     # one window has no neighbour to couple to: the time-varying solver
-    # minimizes the MLE objective from the same start, float for float
+    # minimizes the MLE objective from the same start, float for float, and
+    # reports the same solve
     seqs, _ = _similarity_sequence(5, p=10, seed=7, level=lambda t: 0.1 + 0.15 * t)
     cfg = SolverConfig(alpha=0.0, delta=delta)
     for S in seqs:
-        assert bitwise_equal(learn_time_varying([S], [30], cfg)[0], learn_connected_mle(S, cfg)[0])
+        (L_tv,), (rep_tv,) = learn_time_varying([S], [30], cfg)
+        L_mle, rep_mle = learn_connected_mle(S, cfg)
+        assert bitwise_equal(L_tv, L_mle)
+        assert _same_report(rep_tv, rep_mle)
 
 
 def test_tv_constant_input_is_fixed_point():
     seqs, _ = _similarity_sequence(1, seed=2)
-    Ls = learn_time_varying([seqs[0]] * 6, [30] * 6, SolverConfig(delta=100.0))
+    Ls, _ = learn_time_varying([seqs[0]] * 6, [30] * 6, SolverConfig(delta=100.0))
     for L in Ls[1:]:
         assert np.abs(L - Ls[0]).max() <= 1e-6
 
 
 def test_tv_large_delta_smooths_strictly():
     seqs, ns = _similarity_sequence(8, seed=3, level=lambda t: 0.1 if t < 4 else 0.7)
-    L_mid = learn_time_varying(seqs, ns, SolverConfig(delta=100.0))
-    L_big = learn_time_varying(seqs, ns, SolverConfig(delta=1e8))
+    L_mid, _ = learn_time_varying(seqs, ns, SolverConfig(delta=100.0))
+    L_big, _ = learn_time_varying(seqs, ns, SolverConfig(delta=1e8))
     for t in range(7):
         d_mid = float(np.sum((L_mid[t + 1] - L_mid[t]) ** 2))
         d_big = float(np.sum((L_big[t + 1] - L_big[t]) ** 2))
@@ -339,8 +343,8 @@ def test_tv_large_delta_smooths_strictly():
 
 def test_tv_prefix_invariance_bitwise():
     seqs, ns = _similarity_sequence(9, seed=4, level=lambda t: 0.2 + 0.05 * t)
-    full = learn_time_varying(seqs, ns, SolverConfig(delta=100.0))
-    prefix = learn_time_varying(seqs[:5], ns[:5], SolverConfig(delta=100.0))
+    full, _ = learn_time_varying(seqs, ns, SolverConfig(delta=100.0))
+    prefix, _ = learn_time_varying(seqs[:5], ns[:5], SolverConfig(delta=100.0))
     for a, b in zip(prefix, full[:5]):
         assert np.array_equal(a, b)
 
@@ -348,8 +352,8 @@ def test_tv_prefix_invariance_bitwise():
 def test_tv_memory_window_runs_and_stays_causal():
     seqs, ns = _similarity_sequence(5, p=5, seed=5, level=lambda t: 0.2 + 0.1 * t)
     cfg = SolverConfig(delta=50.0, memory=2)
-    full = learn_time_varying(seqs, ns, cfg)
-    prefix = learn_time_varying(seqs[:3], ns[:3], cfg)
+    full, _ = learn_time_varying(seqs, ns, cfg)
+    prefix, _ = learn_time_varying(seqs[:3], ns[:3], cfg)
     for L in full:
         validate_laplacian(L)
     for a, b in zip(prefix, full[:3]):
@@ -361,8 +365,8 @@ def test_tv_memory_is_inert_at_delta_zero(memory):
     # delta = 0 decouples the windows: the older graphs of a joint window are
     # already solved, so only the newest one is, from the same warm start
     seqs, ns = _similarity_sequence(5, p=8, seed=6, level=lambda t: 0.1 + 0.07 * t)
-    ref = learn_time_varying(seqs, ns, SolverConfig(delta=0.0))
-    for a, b in zip(learn_time_varying(seqs, ns, SolverConfig(delta=0.0, memory=memory)), ref):
+    ref, _ = learn_time_varying(seqs, ns, SolverConfig(delta=0.0))
+    for a, b in zip(learn_time_varying(seqs, ns, SolverConfig(delta=0.0, memory=memory))[0], ref):
         assert bitwise_equal(a, b)
 
 
@@ -439,7 +443,7 @@ def test_tv_full_memory_matches_the_joint_program(delta):
     # 3.0e-6 (delta 20) and 1.3e-5 (delta 100) for one joint SPG per window;
     # 3.0e-4 and 1.8e-3 for the cyclic block sweeps it replaced
     seqs, ns = _similarity_sequence(3, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
-    L_last = learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=3))[-1]
+    L_last = learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=3))[0][-1]
     m = 8 * 7 // 2
     res = minimize(_joint_program(seqs, ns, delta), np.full(3 * m, 1.0 / 7), jac=True,
                    method="L-BFGS-B", bounds=[(0.0, None)] * (3 * m),
@@ -510,7 +514,7 @@ def test_tv_bitwise_equal_to_reference_operators(monkeypatch):
     seqs, ns = _similarity_sequence(10, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
     for cfg in TV_CONFIGS:
         (fast, fast_traces), (slow, slow_traces) = _with_reference_operators(
-            monkeypatch, lambda: learn_time_varying(seqs, ns, cfg)
+            monkeypatch, lambda: learn_time_varying(seqs, ns, cfg)[0]
         )
         assert len(fast) == len(slow) == 10
         for a, b in zip(fast, slow):
@@ -595,14 +599,13 @@ def _tv_memory2_run():
 def test_lazy_gradient_bitwise_equal_to_eager_spg(monkeypatch, run):
     lazy, lazy_traces, lazy_inv = _counted_run(monkeypatch, run)
     eager, eager_traces, eager_inv = _counted_run(monkeypatch, run, reference_ops.eager_spg)
-    if isinstance(lazy, tuple):
-        (L_lazy, rep_lazy), (L_eager, rep_eager) = lazy, eager
-        assert bitwise_equal(L_lazy, L_eager)
-        assert _same_report(rep_lazy, rep_eager)
-    else:
-        assert len(lazy) == len(eager)
-        for a, b in zip(lazy, eager):
-            assert bitwise_equal(a, b)
+    (L_lazy, rep_lazy), (L_eager, rep_eager) = lazy, eager
+    if not isinstance(L_lazy, list):  # a static solver: one graph, one report
+        L_lazy, rep_lazy, L_eager, rep_eager = [L_lazy], [rep_lazy], [L_eager], [rep_eager]
+    assert len(L_lazy) == len(L_eager) == len(rep_lazy) == len(rep_eager)
+    for a, b, ra, rb in zip(L_lazy, L_eager, rep_lazy, rep_eager):
+        assert bitwise_equal(a, b)
+        assert _same_report(ra, rb)
     assert len(lazy_traces) == len(eager_traces) >= 1
     for a, b in zip(lazy_traces, eager_traces):
         assert bitwise_equal(a, b)
