@@ -440,7 +440,7 @@ def _joint_program(seqs, ns, delta):
 def test_tv_full_memory_matches_the_joint_program(delta):
     # at memory = T the last window is the whole joint program, so the last
     # graph must be the joint minimizer's newest one.  Gaps to this oracle:
-    # 3.0e-6 (delta 20) and 1.3e-5 (delta 100) for one joint SPG per window;
+    # 1.9e-6 (delta 20) and 1.3e-5 (delta 100) for one joint SPG per window;
     # 3.0e-4 and 1.8e-3 for the cyclic block sweeps it replaced
     seqs, ns = _similarity_sequence(3, p=8, seed=6, level=lambda t: 0.2 + 0.05 * t)
     L_last = learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=3))[0][-1]
