@@ -385,8 +385,8 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
     # evaluations.  The nonmonotone search takes about 1,900.
     returns = simulate_factor_market(20, 70, regimes=((35, 0.1), (35, 0.8)), seed=3).returns.returns
     S_seq = [np.corrcoef(returns[s : s + 30], rowvar=False) for s in range(41)]
-    evaluations, flags = [], []
-    likelihood, spg = solvers._likelihood, solvers._spg
+    evaluations = []
+    likelihood = solvers._likelihood
 
     def counted_likelihood(*args, **kwargs):
         fun = likelihood(*args, **kwargs)
@@ -397,15 +397,9 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
 
         return counted
 
-    def flagged_spg(*args, **kwargs):
-        out = spg(*args, **kwargs)
-        flags.append(out[4])
-        return out
-
     monkeypatch.setattr(solvers, "_likelihood", counted_likelihood)
-    monkeypatch.setattr(solvers, "_spg", flagged_spg)
-    learn_time_varying(S_seq, [30] * 41, SolverConfig())
-    assert len(flags) == 41 and all(flags)
+    _, reports = learn_time_varying(S_seq, [30] * 41, SolverConfig())
+    assert len(reports) == 41 and all(r.converged for r in reports)
     assert len(evaluations) <= 3000
 
 
