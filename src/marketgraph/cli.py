@@ -385,7 +385,7 @@ def cmd_learn(r: dict) -> int:
         "iterations": report.iterations,
         "objective": float(report.objective_trace[-1]),
         "constraint_residuals": dict(report.constraint_residuals),
-        "nullity": int(num_components(L)),
+        "nullity": report.nullity,
         "n_edges": n_edges,
         "wall_time_s": wall,
     }

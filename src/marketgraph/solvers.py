@@ -27,7 +27,9 @@ window, else one), built by :func:`_likelihood`:
       + y @ r + (rho/2) ||r||^2,  r = deg(w) - 1       degree AL (k-component)
       + coupling * sum_b ||L(w_b) - L(w_{b-1})||_F^2   time-varying window
 
-The smooth baseline has no log-determinant and keeps its own objective.
+where c_b = L^*(K_b) + 2 alpha, so c_b @ w_b = tr(L(w_b) K_b) + alpha
+||L(w_b)||_off,1.  The smooth baseline has no log-determinant and keeps
+its own objective.
 
 Every objective returns its value and a zero-argument gradient closure.
 The Armijo test needs the value alone, and it rejects most trial points,
@@ -75,37 +77,38 @@ __all__ = [
 ]
 
 
+_INNER_MAX_ITERS = 20_000  # SPG iterations per call
+# dual rounds of solve_l_subproblem, alternations of learn_k_component
+_MAX_OUTER_ITERS = 300
+_OUTER_TOL = 1e-5  # learn_k_component stops once L moves less (relative)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters and stopping rules shared by all solvers.
+    """Hyperparameters shared by all solvers.
 
-    ``alpha`` is the sparsity weight of the MLE penalty and, for the smooth
-    baseline, the log-degree barrier weight.  ``gamma`` is the Frobenius
-    weight of the smooth baseline, ``eta`` the spectral (rank) penalty of
-    the k-component solver, ``delta`` the temporal coupling weight and
-    ``memory`` the joint-history length of the time-varying solver.
-
-    ``max_outer_iters`` caps the dual rounds of :func:`solve_l_subproblem`
-    and the alternations of :func:`learn_k_component`, which also stop once
-    L changes by at most ``outer_tol`` (relative); no other solver loops.
+    ``inner_tol`` is the KKT tolerance of every SPG call, relative to the
+    start gradient.  ``alpha`` is the sparsity weight of the MLE penalty, in
+    the MLE and in every time-varying window, and for the smooth baseline
+    the log-degree barrier weight; the k-component solver leaves it out, as
+    unit degrees fix sum(w) = p/2 and make it a constant.  ``gamma`` is the
+    Frobenius weight of the smooth baseline, ``eta`` the spectral (rank)
+    penalty and ``k`` the component count of the k-component solver,
+    ``delta`` the temporal coupling weight and ``memory`` the joint-history
+    length of the time-varying solver.
     """
 
-    max_outer_iters: int = 300
     inner_tol: float = 1e-7
-    outer_tol: float = 1e-5
     eta: float = 10.0
     alpha: float = 0.0
     gamma: float = 1.0
     delta: float = 100.0
     k: int = 1
     memory: int = 1
-    inner_max_iters: int = 20000
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer_iters < 1 or self.inner_max_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.inner_tol <= 0:
+            raise ValueError("tolerance inner_tol must be positive")
         if self.k < 1:
             raise ValueError("component count k must be at least 1")
         if self.memory < 1:
@@ -114,15 +117,21 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics attached to every solve."""
+    """Diagnostics attached to every solve.
+
+    ``objective_trace`` is the SPG trace for the MLE, the smooth baseline
+    and each time-varying window; ``tr(LK) - log det(L + N)`` after each
+    dual round for :func:`solve_l_subproblem`; the relaxed objective before
+    and after each L-step for :func:`learn_k_component`.
+    """
 
     iterations: int
     objective_trace: np.ndarray
     constraint_residuals: dict[str, float]
     converged: bool
-    connected: bool = True
-    nullity: int | None = None
-    eigengap_degenerate: bool = False
+    connected: bool
+    nullity: int
+    eigengap_degenerate: bool
 
 
 def _entries(S) -> np.ndarray:
@@ -292,22 +301,15 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
     return w, f, g, max_iter, False, trace
 
 
-def _row_sum_residual(L: np.ndarray) -> float:
-    return float(np.abs(L.sum(axis=1)).max())
-
-
-def _spg_result(p: int, w: np.ndarray, iters: int, trace: list, converged: bool):
-    """``(L, report)`` of a solver that is one SPG call ending at ``w``."""
-    L = laplacian_from_weights(w, p)
+def _report(L, iterations, trace, converged, degree=None, degenerate=False) -> SolveReport:
+    """The report of a solve returning ``L``; ``degree`` is its max |deg - 1|."""
+    residuals = {"row_sum": float(np.abs(L.sum(axis=1)).max())}
+    if degree is not None:
+        residuals["degree"] = degree
+    residuals["sign"] = 0.0
     nullity = num_components(L)
-    return L, SolveReport(
-        iterations=iters,
-        objective_trace=np.asarray(trace),
-        constraint_residuals={"row_sum": _row_sum_residual(L), "sign": 0.0},
-        converged=converged,
-        connected=nullity == 1,
-        nullity=nullity,
-    )
+    return SolveReport(iterations, np.asarray(trace), residuals, converged,
+                       nullity == 1, nullity, degenerate)
 
 
 def learn_connected_mle(S, cfg: SolverConfig | None = None):
@@ -329,8 +331,9 @@ def learn_connected_mle(S, cfg: SolverConfig | None = None):
     c = laplacian_adjoint(Se) + 2.0 * cfg.alpha
     fun = _likelihood(p, [c], np.full((p, p), 1.0 / p))
     w0 = np.full(m, 1.0 / (p - 1))
-    w, f, g, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
-    L, report = _spg_result(p, w, iters, trace, conv)
+    w, f, g, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
+    L = laplacian_from_weights(w, p)
+    report = _report(L, iters, trace, conv)
     if not report.connected:
         warnings.warn(
             f"MLE solution has {report.nullity} components", DisconnectedGraphWarning,
@@ -369,8 +372,9 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None):
         return f, lambda: z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w
 
     w0 = np.full(pair_count(p), 1.0 / (p - 1))
-    w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
-    return _spg_result(p, w, iters, trace, conv)
+    w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
+    L = laplacian_from_weights(w, p)
+    return L, _report(L, iters, trace, conv)
 
 
 def fan_subspace(L: np.ndarray, k: int) -> np.ndarray:
@@ -408,8 +412,8 @@ def solve_l_subproblem(
     finite objective.
 
     Feasibility is never an issue: uniform weights 1/(p-1) give unit
-    degrees.  If the tolerance is not reached within ``max_outer_iters``
-    dual rounds the best iterate is returned flagged unconverged.
+    degrees.  If the tolerance is not reached within ``_MAX_OUTER_ITERS``
+    dual rounds the last iterate is returned flagged unconverged.
 
     Returns ``(L, report)``.
     """
@@ -423,6 +427,7 @@ def solve_l_subproblem(
         V = np.asarray(null_basis, dtype=float)
         N = V @ V.T
     c = laplacian_adjoint(Ke)
+    objective = _likelihood(p, [c], N)
     degree_tol = 1e-7  # tighter than the 1e-6 exit contract
     w = w0.copy() if w0 is not None else np.full(m, 1.0 / (p - 1))
     y = np.zeros(p)
@@ -432,15 +437,13 @@ def solve_l_subproblem(
     prev_res = np.inf
     converged = False
 
-    for _ in range(cfg.max_outer_iters):
+    for _ in range(_MAX_OUTER_ITERS):
         fun = _likelihood(p, [c], N, dual=y, rho=rho)
-        w, _, _, iters, conv_inner, _ = _spg(fun, w, cfg.inner_tol, cfg.inner_max_iters)
+        w, _, _, iters, conv_inner, _ = _spg(fun, w, cfg.inner_tol, _INNER_MAX_ITERS)
         total_iters += iters
         r = degrees_from_weights(w, p) - 1.0
         res = float(np.abs(r).max())
-        L = laplacian_from_weights(w, p)
-        ld = _chol_logdet(L + N)
-        trace.append(float(c @ w) - (ld if ld is not None else np.nan))
+        trace.append(objective(w)[0])
         if res <= degree_tol and conv_inner:
             converged = True
             break
@@ -450,17 +453,8 @@ def solve_l_subproblem(
         prev_res = res
 
     L = laplacian_from_weights(w, p)
-    report = SolveReport(
-        iterations=total_iters,
-        objective_trace=np.asarray(trace),
-        constraint_residuals={
-            "row_sum": _row_sum_residual(L),
-            "degree": float(np.abs(degrees_from_weights(w, p) - 1.0).max()),
-            "sign": 0.0,
-        },
-        converged=converged,
-    )
-    return L, report
+    degree = float(np.abs(degrees_from_weights(w, p) - 1.0).max())
+    return L, _report(L, total_iters, trace, converged, degree)
 
 
 def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | None = None):
@@ -475,7 +469,8 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
 
     is nonincreasing across both half-updates (both the eigenvector step and
     the convex step minimize it exactly in their own block).  The objective
-    trace records it after every half-update.
+    trace records it before and after every L-step, where it is the step's
+    likelihood ``tr(LK) - log det(L + V V^T)`` with ``K = S + eta V V^T``.
 
     Returns ``(L, report)``.
     """
@@ -493,27 +488,23 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
     iu = pair_indices(p)
     w = np.maximum(-L[iu], 0.0)
 
-    eta = cfg.eta
     trace: list[float] = []
     total_iters = 0
     degenerate = False
     converged = False
 
-    for _ in range(cfg.max_outer_iters):
+    for _ in range(_MAX_OUTER_ITERS):
         lam, U = np.linalg.eigh(L)
         V = U[:, :k]
         if k < p and lam[k] - lam[k - 1] <= 1e-12 * max(1.0, lam[-1]):
             degenerate = True  # tie at the cut; any basis attains the Fan minimum
         N = V @ V.T
-        logdet = _chol_logdet(L + N)
-        trace.append(float(np.sum(L * Se)) - (np.nan if logdet is None else logdet)
-                     + eta * float(np.sum(lam[:k])))
+        K = Se + cfg.eta * N
+        trace.append(_likelihood(p, [laplacian_adjoint(K)], N)(w)[0])
 
-        L_new, rep = solve_l_subproblem(Se + eta * N, cfg, w0=w, null_basis=V)
+        L_new, rep = solve_l_subproblem(K, cfg, w0=w, null_basis=V)
         total_iters += rep.iterations
-        logdet = _chol_logdet(L_new + N)
-        obj_new = (float(np.sum(L_new * Se)) - (np.nan if logdet is None else logdet)
-                   + eta * float(np.trace(V.T @ L_new @ V)))
+        obj_new = float(rep.objective_trace[-1])
         if obj_new > trace[-1]:
             # inner-tolerance wobble: the warm start is already (at least) as
             # good as the returned iterate, so keep it; the alternation has
@@ -526,25 +517,12 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
 
         rel = np.linalg.norm(L_new - L) / max(np.linalg.norm(L), 1e-30)
         L = L_new
-        if rel <= cfg.outer_tol:
+        if rel <= _OUTER_TOL:
             converged = True
             break
 
-    nullity = num_components(L)
-    report = SolveReport(
-        iterations=total_iters,
-        objective_trace=np.asarray(trace),
-        constraint_residuals={
-            "row_sum": _row_sum_residual(L),
-            "degree": float(np.abs(np.diag(L) - 1.0).max()),
-            "sign": 0.0,
-        },
-        converged=converged,
-        connected=nullity == 1,
-        nullity=nullity,
-        eigengap_degenerate=degenerate,
-    )
-    return L, report
+    degree = float(np.abs(np.diag(L) - 1.0).max())
+    return L, _report(L, total_iters, trace, converged, degree, degenerate)
 
 
 def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
@@ -553,7 +531,8 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     For each time t the estimate minimizes the joint penalized likelihood
     over the last ``min(memory, t + 1)`` graphs,
 
-        sum_s n_s [tr(S_s L_s) - log gdet(L_s)] + delta sum_s ||L_s - L_{s-1}||_F^2,
+        sum_s n_s [tr(S_s L_s) + alpha ||L_s||_off,1 - log gdet(L_s)]
+            + delta sum_s ||L_s - L_{s-1}||_F^2,
 
     with graphs before the window frozen at their stored estimates.  It is
     jointly convex, and one SPG call over the window's stacked weights
@@ -589,7 +568,8 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
 
     m = pair_count(p)
     J = np.full((p, p), 1.0 / p)
-    cs = [laplacian_adjoint(St) for St in mats]
+    # the MLE's cost vectors: ||L||_off,1 = 2 sum(w)
+    cs = [laplacian_adjoint(St) + 2.0 * cfg.alpha for St in mats]
 
     estimates, reports = [], []
     weight_hist = [np.full(m, 1.0 / (p - 1))]  # [s + 1] holds graph s; [0] the uniform start
@@ -602,10 +582,10 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
         scales = [n / n_seq[t] for n in n_seq[a : t + 1]]
         anchor = estimates[a - 1] if a > 0 else None
         fun = _likelihood(p, cs[a : t + 1], J, scales, anchor, cfg.delta / n_seq[t])
-        w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, cfg.inner_max_iters)
-        L, report = _spg_result(p, w[-m:], iters, trace, conv)
+        w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
+        L = laplacian_from_weights(w[-m:], p)
         weight_hist.append(w[-m:])
         estimates.append(L)
-        reports.append(report)
+        reports.append(_report(L, iters, trace, conv))
 
     return estimates, reports

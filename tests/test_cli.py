@@ -281,6 +281,9 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
             objective_trace=np.array([0.0]),
             constraint_residuals={},
             converged=False,
+            connected=False,
+            nullity=p,
+            eigengap_degenerate=False,
         )
 
     # the MLE and the smooth baseline report non-convergence the same way

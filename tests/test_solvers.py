@@ -290,6 +290,61 @@ def test_k_component_permutation_equivariance():
     assert np.abs(P @ L1 @ P.T - L2).max() <= 1e-4
 
 
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_outer_traces_hold_the_documented_objectives(monkeypatch):
+    # solve_l_subproblem: tr(LK) - log det(L + 11^T/p) at the end of each
+    # dual round, i.e. of each SPG call
+    K = random_spd(np.random.default_rng(8), 10)
+    rounds = []
+    spg = solvers._spg
+
+    def recording(*args, **kwargs):
+        out = spg(*args, **kwargs)
+        rounds.append(reference_ops.laplacian_from_weights(out[0]))
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_spg", recording)
+        _, report = solve_l_subproblem(K)
+    J = np.full((10, 10), 0.1)
+    assert len(rounds) > 1
+    _assert_close(report.objective_trace,
+                  [np.sum(L * K) - np.linalg.slogdet(L + J)[1] for L in rounds])
+
+    # learn_k_component: tr(LS) - log det(L + VV^T) + eta tr(V^T L V) with
+    # each L-step's subspace V, at the L the step starts from and at its result
+    pg = random_k_component_graph(10, 2, seed=1, extra_edge_prob=1.0)
+    S = correlation_from_covariance(sample_covariance(sample_gmrf(pg.L_true, 2000, seed=2))).entries
+    steps = []
+    l_step = solvers.solve_l_subproblem
+
+    def capturing(K, cfg=None, w0=None, null_basis=None):
+        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis)
+        steps.append((null_basis, L))
+        return L, rep
+
+    monkeypatch.setattr(solvers, "solve_l_subproblem", capturing)
+    cfg = SolverConfig(k=2)
+    _, report = learn_k_component(S, cfg)
+    (V0, L), *outer = steps
+    assert V0 is None and len(outer) > 1
+
+    def relaxed(L, V):
+        return (np.sum(L * S) - np.linalg.slogdet(L + V @ V.T)[1]
+                + cfg.eta * np.trace(V.T @ L @ V))
+
+    want = []
+    for V, L_new in outer:
+        want += [relaxed(L, V), relaxed(L_new, V)]
+        L = L_new
+    _assert_close(report.objective_trace, want)
+
+
 # --- learn_time_varying -----------------------------------------------------
 
 def _similarity_sequence(T, p=6, seed=0, level=lambda t: 0.3):
@@ -316,12 +371,13 @@ def test_one_window_tv_is_the_mle_bitwise(delta):
     # minimizes the MLE objective from the same start, float for float, and
     # reports the same solve
     seqs, _ = _similarity_sequence(5, p=10, seed=7, level=lambda t: 0.1 + 0.15 * t)
-    cfg = SolverConfig(alpha=0.0, delta=delta)
-    for S in seqs:
-        (L_tv,), (rep_tv,) = learn_time_varying([S], [30], cfg)
-        L_mle, rep_mle = learn_connected_mle(S, cfg)
-        assert bitwise_equal(L_tv, L_mle)
-        assert _same_report(rep_tv, rep_mle)
+    for alpha in (0.0, 0.05):
+        cfg = SolverConfig(alpha=alpha, delta=delta)
+        for S in seqs:
+            (L_tv,), (rep_tv,) = learn_time_varying([S], [30], cfg)
+            L_mle, rep_mle = learn_connected_mle(S, cfg)
+            assert bitwise_equal(L_tv, L_mle)
+            assert _same_report(rep_tv, rep_mle)
 
 
 def test_tv_constant_input_is_fixed_point():
