@@ -3,9 +3,11 @@
 Each case runs one entry point of ``marketgraph.solvers`` on a small frozen
 input (p <= 12) and records every projected-gradient (SPG) call it makes:
 the SHA-256 of the output Laplacian bytes, the iteration count of each SPG
-call and their objective traces, concatenated.  ``tests/test_golden.py``
-requires the stored digests and iteration counts exactly and the traces
-to 1e-12.
+call and their objective traces, concatenated.  It also records the
+objective traces of the reports the case returns, concatenated, which for
+``solve_l_subproblem`` and ``learn_k_component`` are their outer traces.
+``tests/test_golden.py`` requires the stored digests and iteration counts
+exactly and both traces to 1e-12.
 
 Rewrite ``tests/data/golden.json`` from the current code with
 
@@ -88,14 +90,15 @@ def record(name):
         out = CASES[name]()
     finally:
         solvers._spg = spg
-    if isinstance(out, tuple):
-        out = out[0]
-    laplacians = out if isinstance(out, list) else [out]
+    laplacians, reports = out
+    if not isinstance(laplacians, list):  # a static solver: one graph, one report
+        laplacians, reports = [laplacians], [reports]
     digest = hashlib.sha256(b"".join(np.ascontiguousarray(L).tobytes() for L in laplacians))
     return {
         "sha256": digest.hexdigest(),
         "spg_iterations": [int(c[3]) for c in calls],
         "objective_trace": [float(f) for c in calls for f in c[5]],
+        "report_trace": [float(f) for r in reports for f in r.objective_trace],
     }
 
 

@@ -17,6 +17,7 @@ def test_solver_reproduces_its_golden_entry(name):
     want, got = GOLDEN_ENTRIES[name], record(name)
     assert got["sha256"] == want["sha256"]
     assert got["spg_iterations"] == want["spg_iterations"]
-    a, b = np.asarray(got["objective_trace"]), np.asarray(want["objective_trace"])
-    assert a.shape == b.shape
-    assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+    for trace in ("objective_trace", "report_trace"):
+        a, b = np.asarray(got[trace]), np.asarray(want[trace])
+        assert a.shape == b.shape
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
