@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -43,35 +44,40 @@ EXIT_NONCONVERGED = 3
 
 EDGE_THRESHOLD_REL = 1e-4  # an edge is emitted when weight > rel * max weight
 
-DEFAULTS = {
-    "scale": "correlation",
-    "market": "keep",
-    "market_column": None,
-    "method": "mle",
-    "k": 1,
-    "eta": 10.0,
-    "alpha": 0.0,
-    "gamma": 1.0,
-    "delta": 100.0,
-    "tau": 1.0,
-    "window": 30,
-    "stride": 1,
-    "memory": 1,
-    "seed": 0,
-    "ffill": False,
-    "invert_gate": False,
-    "mode": "gmrf",
-    "assets": 10,
-    "days": 230,
-    "k_true": 2,
-    "regimes": "115:0.1,115:0.7",
-    "weight_min": 1.0,
-    "weight_max": 3.0,
-    "beta_min": 0.8,
-    "beta_max": 1.2,
-    "density": 1.0,
-    "indicators": None,
+_ALL = ("learn", "learn-tv", "backtest", "synth", "indicators")
+
+# config key -> (default, subcommands taking it as the flag --<key with dashes>, argparse keywords);
+# a boolean option is a bare flag, and config-file values go through the same type and choices
+OPTIONS = {
+    "scale": ("correlation", _ALL, {"choices": ["covariance", "correlation"]}),
+    "market": ("keep", _ALL, {"choices": ["keep", "remove"]}),
+    "market_column": (None, _ALL, {"help": "ticker used as the market index"}),
+    "k": (1, _ALL, {"type": int, "help": "component count (k > 1 selects the k-component solver)"}),
+    "eta": (10.0, _ALL, {"type": float, "help": "spectral rank-penalty weight"}),
+    "alpha": (0.0, _ALL, {"type": float, "help": "sparsity / log-degree weight"}),
+    "gamma": (1.0, _ALL, {"type": float, "help": "Frobenius weight of the smooth baseline"}),
+    "delta": (100.0, _ALL, {"type": float, "help": "temporal coupling weight"}),
+    "tau": (1.0, _ALL, {"type": float, "help": "connectivity threshold of the S2 gate"}),
+    "window": (30, _ALL, {"type": int, "help": "rolling window length in return days"}),
+    "stride": (1, _ALL, {"type": int, "help": "rolling window stride in days"}),
+    "memory": (1, _ALL, {"type": int, "help": "joint-history length of the time-varying solver"}),
+    "seed": (0, _ALL, {"type": int}),
+    "ffill": (False, _ALL, {"help": "forward-fill missing prices instead of dropping rows"}),
+    "invert_gate": (False, _ALL, {"help": "invest when connectivity is at or above tau"}),
+    "method": ("mle", ("learn",), {"choices": ["mle", "smooth"], "help": "estimator for k=1"}),
+    "indicators": (None, ("backtest",), {"help": "indicators.csv from a previous learn-tv run"}),
+    "mode": ("gmrf", ("synth",), {"choices": ["gmrf", "factor"]}),
+    "assets": (10, ("synth",), {"type": int, "help": "number of assets p"}),
+    "days": (230, ("synth",), {"type": int, "help": "number of price rows"}),
+    "k_true": (2, ("synth",), {"type": int, "help": "planted component count"}),
+    "regimes": ("115:0.1,115:0.7", ("synth",), {"help": "factor mode segments 'len:corr,len:corr,...'"}),
+    "weight_min": (1.0, ("synth",), {"type": float}),
+    "weight_max": (3.0, ("synth",), {"type": float}),
+    "beta_min": (0.8, ("synth",), {"type": float}),
+    "beta_max": (1.2, ("synth",), {"type": float}),
+    "density": (1.0, ("synth",), {"type": float, "help": "in-group extra edge probability"}),
 }
+DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
 
 class ValidationError(ValueError):
@@ -81,6 +87,28 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # ingestion and file formats
 # ---------------------------------------------------------------------------
+
+def _write_rows(path, header, rows) -> None:
+    """One CSV file: the header row, then ``rows`` (lists of cells)."""
+    with Path(path).open("w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def _read_rows(path) -> list[list[str]]:
+    with Path(path).open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def _dated_rows(dates, values):
+    """Rows ``date, v_1, ..., v_m`` of a dated series (``values`` is n x m)."""
+    return ([d.isoformat(), *map(_fmt, row)] for d, row in zip(dates, values))
+
 
 def ingest_prices(path, ffill: bool = False) -> PricePanel:
     """Read and validate a price CSV (header ``date,<ticker>,...``).
@@ -92,8 +120,7 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -104,7 +131,10 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
         raise ValidationError(f"{path}: no ticker columns")
 
     dates: list[datetime.date] = []
-    values: list[list[float | None]] = []
+    kept: list[list[float]] = []
+    previous = None
+    last: list[float | None] = [None] * len(tickers)
+    dropped = 0
     for rn, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -116,74 +146,52 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
             d = datetime.date.fromisoformat(row[0].strip())
         except ValueError:
             raise ValidationError(f"{path}: row {rn}: invalid ISO date {row[0]!r}") from None
-        if dates:
-            if d == dates[-1]:
+        if previous is not None:
+            if d == previous:
                 raise ValidationError(f"{path}: row {rn}: duplicate date {d.isoformat()}")
-            if d < dates[-1]:
+            if d < previous:
                 raise ValidationError(
                     f"{path}: row {rn}: dates not increasing ({d.isoformat()} after "
-                    f"{dates[-1].isoformat()})"
+                    f"{previous.isoformat()})"
                 )
+        previous = d
         cells: list[float | None] = []
         for ci, cell in enumerate(row[1:]):
             text = cell.strip()
-            if not text or text.lower() == "nan":
-                cells.append(None)
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {rn}, column {tickers[ci]}: non-numeric cell {cell!r}"
-                ) from None
-            if not np.isfinite(v):
-                cells.append(None)
-                continue
-            if v <= 0:
-                raise ValidationError(
-                    f"{path}: row {rn}, column {tickers[ci]}: non-positive price {v}"
-                )
-            cells.append(v)
-        dates.append(d)
-        values.append(cells)
-
-    kept_dates: list[datetime.date] = []
-    kept: list[list[float]] = []
-    dropped = 0
-    last: list[float | None] = [None] * len(tickers)
-    for d, cells in zip(dates, values):
-        if ffill:
-            cells = [c if c is not None else last[i] for i, c in enumerate(cells)]
+            v = None
+            if text and text.lower() != "nan":
+                try:
+                    v = float(text)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {rn}, column {tickers[ci]}: non-numeric cell {cell!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    v = None
+                elif v <= 0:
+                    raise ValidationError(
+                        f"{path}: row {rn}, column {tickers[ci]}: non-positive price {v}"
+                    )
+            cells.append(last[ci] if v is None and ffill else v)
         if any(c is None for c in cells):
             dropped += 1
             continue
         last = cells
-        kept_dates.append(d)
+        dates.append(d)
         kept.append(cells)  # type: ignore[arg-type]
     if dropped:
         print(f"note: dropped {dropped} row(s) with missing values", file=sys.stderr)
     if len(kept) < 2:
         raise ValidationError(f"{path}: fewer than 2 usable price rows")
-    return PricePanel(
-        dates=tuple(kept_dates), tickers=tickers, prices=np.array(kept, dtype=float)
-    )
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return PricePanel(dates=tuple(dates), tickers=tickers, prices=np.array(kept, dtype=float))
 
 
 def write_matrix_csv(path, M: np.ndarray, labels) -> None:
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(labels)
-        for row in np.asarray(M):
-            out.writerow([_fmt(v) for v in row])
+    _write_rows(path, labels, ([_fmt(v) for v in row] for row in np.asarray(M)))
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if len(rows) < 2:
         raise ValidationError(f"{path}: not a matrix CSV")
     labels = tuple(c.strip() for c in rows[0])
@@ -200,39 +208,28 @@ def write_edges_csv(path, L: np.ndarray, labels) -> int:
     iu, ju = pair_indices(L.shape[0])
     w = np.maximum(-L[iu, ju], 0.0)
     threshold = EDGE_THRESHOLD_REL * (w.max() if w.size else 0.0)
-    n_edges = 0
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["i", "j", "weight"])
-        for i, j, wv in zip(iu, ju, w):
-            if wv > threshold:
-                out.writerow([labels[i], labels[j], _fmt(wv)])
-                n_edges += 1
-    return n_edges
+    edges = np.flatnonzero(w > threshold)
+    rows = ([labels[iu[e]], labels[ju[e]], _fmt(w[e])] for e in edges)
+    _write_rows(path, ["i", "j", "weight"], rows)
+    return len(edges)
 
 
 def write_indicators_csv(path, indicators) -> None:
-    with Path(path).open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["date", "algebraic_connectivity", "spectral_radius", "time_consistency"])
-        for t, d in enumerate(indicators.dates):
-            cons = _fmt(indicators.time_consistency[t - 1]) if t > 0 else ""
-            out.writerow(
-                [
-                    d.isoformat(),
-                    _fmt(indicators.algebraic_connectivity[t]),
-                    _fmt(indicators.spectral_radius[t]),
-                    cons,
-                ]
-            )
+    cons = [""] + [_fmt(v) for v in indicators.time_consistency]
+    rows = (
+        [d.isoformat(), _fmt(lam2), _fmt(lmax), c]
+        for d, lam2, lmax, c in zip(
+            indicators.dates, indicators.algebraic_connectivity, indicators.spectral_radius, cons
+        )
+    )
+    _write_rows(path, ["date", "algebraic_connectivity", "spectral_radius", "time_consistency"], rows)
 
 
 def read_indicators_csv(path):
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"indicator file not found: {path}")
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows or rows[0][:3] != ["date", "algebraic_connectivity", "spectral_radius"]:
         raise ValidationError(f"{path}: not an indicators CSV")
     dates, lam2, lmax, cons = [], [], [], []
@@ -282,20 +279,23 @@ def _parse_config_file(path) -> dict:
     return out
 
 
-def _coerce(key: str, value):
-    default = DEFAULTS[key]
-    if isinstance(value, str):
-        if isinstance(default, bool):
-            low = value.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValidationError(f"config key {key}: expected a boolean, got {value!r}")
-        if isinstance(default, int) and not isinstance(default, bool):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
+def _coerce(key: str, value: str):
+    """A config-file value, converted and checked as its flag would be."""
+    default, _, kw = OPTIONS[key]
+    if isinstance(default, bool):
+        low = value.lower()
+        if low in ("1", "true", "yes", "on"):
+            return True
+        if low in ("0", "false", "no", "off"):
+            return False
+        raise ValidationError(f"config key {key}: expected a boolean, got {value!r}")
+    kind = kw.get("type", str)
+    try:
+        value = kind(value)
+    except ValueError:
+        raise ValidationError(f"config key {key}: expected {kind.__name__}, got {value!r}") from None
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValidationError(f"config key {key}: {value!r} is not one of {', '.join(kw['choices'])}")
     return value
 
 
@@ -435,11 +435,11 @@ def cmd_learn_tv(r: dict) -> int:
 
     for t, L in enumerate(L_seq):
         write_matrix_csv(outdir / f"laplacian_{t:04d}.csv", L, returns.tickers)
-    with (outdir / "windows.csv").open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["window", "start_date", "end_date"])
-        for t, (d0, d1) in enumerate(spans):
-            out.writerow([t, d0.isoformat(), d1.isoformat()])
+    _write_rows(
+        outdir / "windows.csv",
+        ["window", "start_date", "end_date"],
+        ([t, d0.isoformat(), d1.isoformat()] for t, (d0, d1) in enumerate(spans)),
+    )
     indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
     write_indicators_csv(outdir / "indicators.csv", indicators)
     write_meta(
@@ -467,18 +467,9 @@ def cmd_backtest(r: dict) -> int:
 
     s1 = strategy_s1(returns)
     s2 = strategy_s2(returns, indicators, tau=r["tau"], invert=r["invert_gate"])
-    with (outdir / "pnl.csv").open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["date", "s1_cum", "s2_cum", "position"])
-        for t, d in enumerate(returns.dates):
-            out.writerow(
-                [
-                    d.isoformat(),
-                    _fmt(s1.cumulative_pnl[t]),
-                    _fmt(s2.cumulative_pnl[t]),
-                    _fmt(s2.positions[t]),
-                ]
-            )
+    pnl = np.column_stack([s1.cumulative_pnl, s2.cumulative_pnl, s2.positions])
+    header = ["date", "s1_cum", "s2_cum", "position"]
+    _write_rows(outdir / "pnl.csv", header, _dated_rows(returns.dates, pnl))
     write_meta(
         outdir,
         "backtest",
@@ -522,7 +513,7 @@ def cmd_synth(r: dict) -> int:
         returns = sample_gmrf(planted.L_true, n - 1, seed=seed + 1)
         write_matrix_csv(outdir / "laplacian_true.csv", planted.L_true, returns.tickers)
         extra = {"planted_nullity": int(num_components(planted.L_true)), "k_true": r["k_true"]}
-    elif r["mode"] == "factor":
+    else:  # the parser and the config check admit only gmrf and factor
         sim = simulate_factor_market(
             p,
             n - 1,
@@ -531,35 +522,22 @@ def cmd_synth(r: dict) -> int:
             seed=seed,
         )
         returns = sim.returns
-        with (outdir / "regimes.csv").open("w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["first_row", "residual_correlation"])
-            boundaries = (0,) + sim.regime_boundaries
-            for b, level in zip(boundaries, sim.regime_levels):
-                out.writerow([b, _fmt(level)])
-        with (outdir / "market.csv").open("w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["date", "market_return"])
-            for d, v in zip(returns.dates, sim.market):
-                out.writerow([d.isoformat(), _fmt(v)])
+        boundaries = (0,) + sim.regime_boundaries
+        _write_rows(
+            outdir / "regimes.csv",
+            ["first_row", "residual_correlation"],
+            ([b, _fmt(level)] for b, level in zip(boundaries, sim.regime_levels)),
+        )
+        market = _dated_rows(returns.dates, sim.market[:, None])
+        _write_rows(outdir / "market.csv", ["date", "market_return"], market)
         extra = {"regimes": r["regimes"]}
-    else:
-        raise ValidationError(f"unknown synth mode {r['mode']!r}")
 
     # returns.csv plus a price panel reproducing those returns under log_returns
-    with (outdir / "returns.csv").open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["date"] + list(returns.tickers))
-        for t, d in enumerate(returns.dates):
-            out.writerow([d.isoformat()] + [_fmt(v) for v in returns.returns[t]])
+    header = ["date", *returns.tickers]
+    _write_rows(outdir / "returns.csv", header, _dated_rows(returns.dates, returns.returns))
     prices = 100.0 * np.exp(np.vstack([np.zeros(p), np.cumsum(returns.returns, axis=0)]))
-    first_date = returns.dates[0] - datetime.timedelta(days=1)
-    price_dates = (first_date,) + returns.dates
-    with (outdir / "prices.csv").open("w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["date"] + list(returns.tickers))
-        for t, d in enumerate(price_dates):
-            out.writerow([d.isoformat()] + [_fmt(v) for v in prices[t]])
+    price_dates = (returns.dates[0] - datetime.timedelta(days=1),) + returns.dates
+    _write_rows(outdir / "prices.csv", header, _dated_rows(price_dates, prices))
 
     extra.update({"converged": True, "n_price_rows": len(price_dates)})
     write_meta(outdir, "synth", r, extra)
@@ -576,9 +554,7 @@ def cmd_indicators(r: dict) -> int:
     windows_file = indir / "windows.csv"
     if not windows_file.exists():
         raise ValidationError(f"missing windows.csv in {indir}")
-    with windows_file.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    end_dates = [datetime.date.fromisoformat(row[2]) for row in rows[1:]]
+    end_dates = [datetime.date.fromisoformat(row[2]) for row in _read_rows(windows_file)[1:]]
     if len(end_dates) != len(matrix_files):
         raise ValidationError("windows.csv does not match the stored matrices")
     L_seq = [read_matrix_csv(f)[0] for f in matrix_files]
@@ -594,27 +570,13 @@ def cmd_indicators(r: dict) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_shared(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--input", help="input CSV file (or directory for 'indicators')")
-    sp.add_argument("--output-dir", help="directory for output artifacts")
-    sp.add_argument("--config", help="key = value config file; flags override it")
-    sp.add_argument("--scale", choices=["covariance", "correlation"])
-    sp.add_argument("--market", choices=["keep", "remove"])
-    sp.add_argument("--market-column", dest="market_column", help="ticker used as the market index")
-    sp.add_argument("--k", type=int, help="component count (k > 1 selects the k-component solver)")
-    sp.add_argument("--eta", type=float, help="spectral rank-penalty weight")
-    sp.add_argument("--alpha", type=float, help="sparsity / log-degree weight")
-    sp.add_argument("--gamma", type=float, help="Frobenius weight of the smooth baseline")
-    sp.add_argument("--delta", type=float, help="temporal coupling weight")
-    sp.add_argument("--tau", type=float, help="connectivity threshold of the S2 gate")
-    sp.add_argument("--window", type=int, help="rolling window length in return days")
-    sp.add_argument("--stride", type=int, help="rolling window stride in days")
-    sp.add_argument("--memory", type=int, help="joint-history length of the time-varying solver")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--ffill", action="store_const", const=True, default=None,
-                    help="forward-fill missing prices instead of dropping rows")
-    sp.add_argument("--invert-gate", dest="invert_gate", action="store_const", const=True,
-                    default=None, help="invest when connectivity is at or above tau")
+_COMMANDS = {
+    "learn": (cmd_learn, "estimate one static graph"),
+    "learn-tv": (cmd_learn_tv, "rolling time-varying graphs + indicators"),
+    "backtest": (cmd_backtest, "S1 vs connectivity-gated S2 cumulative PnL"),
+    "synth": (cmd_synth, "generate synthetic fixtures with planted truth"),
+    "indicators": (cmd_indicators, "recompute indicators from stored Laplacians"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -624,43 +586,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("learn", help="estimate one static graph")
-    _add_shared(sp)
-    sp.add_argument("--method", choices=["mle", "smooth"], help="estimator for k=1")
-
-    sp = sub.add_parser("learn-tv", help="rolling time-varying graphs + indicators")
-    _add_shared(sp)
-
-    sp = sub.add_parser("backtest", help="S1 vs connectivity-gated S2 cumulative PnL")
-    _add_shared(sp)
-    sp.add_argument("--indicators", help="indicators.csv from a previous learn-tv run")
-
-    sp = sub.add_parser("synth", help="generate synthetic fixtures with planted truth")
-    _add_shared(sp)
-    sp.add_argument("--mode", choices=["gmrf", "factor"])
-    sp.add_argument("--assets", type=int, help="number of assets p")
-    sp.add_argument("--days", type=int, help="number of price rows")
-    sp.add_argument("--k-true", dest="k_true", type=int, help="planted component count")
-    sp.add_argument("--regimes", help="factor mode segments 'len:corr,len:corr,...'")
-    sp.add_argument("--weight-min", dest="weight_min", type=float)
-    sp.add_argument("--weight-max", dest="weight_max", type=float)
-    sp.add_argument("--beta-min", dest="beta_min", type=float)
-    sp.add_argument("--beta-max", dest="beta_max", type=float)
-    sp.add_argument("--density", type=float, help="in-group extra edge probability")
-
-    sp = sub.add_parser("indicators", help="recompute indicators from stored Laplacians")
-    _add_shared(sp)
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--input", help="input CSV file (or directory for 'indicators')")
+        sp.add_argument("--output-dir", help="directory for output artifacts")
+        sp.add_argument("--config", help="key = value config file; flags override it")
+        for key, (default, commands, kw) in OPTIONS.items():
+            if command in commands:
+                if isinstance(default, bool):
+                    kw = {"action": "store_const", "const": True, "default": None, **kw}
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, **kw)
     return ap
-
-
-_COMMANDS = {
-    "learn": cmd_learn,
-    "learn-tv": cmd_learn_tv,
-    "backtest": cmd_backtest,
-    "synth": cmd_synth,
-    "indicators": cmd_indicators,
-}
 
 
 def main(argv=None) -> int:
@@ -671,7 +607,7 @@ def main(argv=None) -> int:
             raise ValidationError("--input is required")
         if not resolved.get("output_dir"):
             raise ValidationError("--output-dir is required")
-        return _COMMANDS[args.command](resolved)
+        return _COMMANDS[args.command][0](resolved)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

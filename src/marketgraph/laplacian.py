@@ -189,6 +189,8 @@ def spectral_summary(L: np.ndarray, zero_tol: float | None = None) -> SpectralSu
     """
     L = np.asarray(L, dtype=float)
     lam = np.linalg.eigvalsh(L)
+    if lam.size < 2:
+        raise ValueError(f"need at least 2 nodes, got p={lam.size}")
     if zero_tol is None:
         zero_tol = zero_eigenvalue_tolerance(lam)
     nullity = int(np.count_nonzero(lam <= zero_tol))
@@ -214,20 +216,16 @@ def log_gdet(L: np.ndarray, zero_tol: float | None = None) -> float:
     (nullity > 1) is signalled with :class:`DisconnectedGraphWarning`; the
     caller decides whether that is fatal.
     """
-    L = np.asarray(L, dtype=float)
-    lam = np.linalg.eigvalsh(L)
-    if zero_tol is None:
-        zero_tol = zero_eigenvalue_tolerance(lam)
-    nullity = int(np.count_nonzero(lam <= zero_tol))
-    if nullity > 1:
+    spec = spectral_summary(L, zero_tol)
+    if spec.nullity > 1:
         warnings.warn(
-            f"graph has {nullity} components; pseudo-determinant taken over "
+            f"graph has {spec.nullity} components; pseudo-determinant taken over "
             "positive eigenvalues only",
             DisconnectedGraphWarning,
             stacklevel=2,
         )
-    positive = lam[lam > zero_tol]
-    return float(np.sum(np.log(positive)))
+    # ascending spectrum: the entries past the nullity are those above the tolerance
+    return float(np.sum(np.log(spec.eigenvalues[spec.nullity:])))
 
 
 def time_consistency(L_a: np.ndarray, L_b: np.ndarray) -> float:

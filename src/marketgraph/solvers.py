@@ -453,11 +453,10 @@ def solve_l_subproblem(
         prev_res = res
 
     L = laplacian_from_weights(w, p)
-    degree = float(np.abs(degrees_from_weights(w, p) - 1.0).max())
-    return L, _report(L, total_iters, trace, converged, degree)
+    return L, _report(L, total_iters, trace, converged, res)  # the last round's res is at this w
 
 
-def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | None = None):
+def learn_k_component(S, cfg: SolverConfig | None = None):
     """Alternating k-component graph learning with degree control.
 
     Alternates between the spectral subspace of the k smallest eigenvalues
@@ -481,10 +480,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None, initial: np.ndarray | 
     if k >= p:
         raise ValueError(f"component count k={k} must be smaller than p={p}")
 
-    if initial is None:
-        L, _ = solve_l_subproblem(Se, cfg)
-    else:
-        L = np.asarray(initial, dtype=float)
+    L, _ = solve_l_subproblem(Se, cfg)
     iu = pair_indices(p)
     w = np.maximum(-L[iu], 0.0)
 

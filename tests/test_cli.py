@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from marketgraph.cli import (
+    DEFAULTS,
     EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     ingest_prices,
     main,
     read_matrix_csv,
+    resolve_config,
     write_matrix_csv,
 )
 from marketgraph.solvers import SolveReport
@@ -85,6 +88,17 @@ def test_ingest_non_numeric_cell_reports_row_and_column(tmp_path):
                   ["2020-01-02", "abc", "21"]])
     with pytest.raises(ValueError, match=r"row 3, column AAA"):
         ingest_prices(f)
+
+
+def test_ingest_checks_dates_against_dropped_rows_too(tmp_path, capsys):
+    f = tmp_path / "p.csv"
+    write_csv(f, [["date", "AAA"],
+                  ["2020-01-01", "10"],
+                  ["2020-01-02", ""],
+                  ["2020-01-02", "11"]])
+    with pytest.raises(ValueError, match="row 4: duplicate date 2020-01-02"):
+        ingest_prices(f)
+    assert "dropped" not in capsys.readouterr().err
 
 
 def test_ingest_bad_date_reports_row(tmp_path):
@@ -524,3 +538,100 @@ def test_missing_input_is_validation_error(tmp_path, capsys):
     code = main(["learn", "--input", str(tmp_path / "nope.csv"),
                  "--output-dir", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("line", [
+    "scale = corr",
+    "market = removed",
+    "method = smoth",
+    "mode = lattice",
+    "k = 2.5",
+])
+def test_config_values_are_checked_like_flags(tmp_path, gmrf_prices, capsys, line):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(line + "\n")
+    code = main(["learn", "--input", str(gmrf_prices), "--config", str(cfgfile),
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    key = line.split(" = ")[0]
+    assert f"config key {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# one valid non-default value per config key as written after its flag (None: a bare flag)
+NON_DEFAULTS = {
+    "scale": "covariance", "market": "remove", "market_column": "A00", "method": "smooth",
+    "k": "3", "eta": "2.5", "alpha": "0.5", "gamma": "2", "delta": "20", "tau": "inf",
+    "window": "40", "stride": "2", "memory": "2", "seed": "7", "ffill": None,
+    "invert_gate": None, "indicators": "ind.csv", "mode": "factor", "assets": "12",
+    "days": "100", "k_true": "3", "regimes": "50:0.2", "weight_min": "0.5",
+    "weight_max": "2.5", "beta_min": "0.5", "beta_max": "1.5", "density": "0.5",
+}
+
+
+@pytest.mark.parametrize("key", sorted(NON_DEFAULTS))
+def test_flag_and_config_value_resolve_alike(tmp_path, key):
+    assert set(NON_DEFAULTS) == set(DEFAULTS)
+    command = {"method": "learn", "indicators": "backtest"}.get(key, "synth")
+    flag, value = "--" + key.replace("_", "-"), NON_DEFAULTS[key]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {'yes' if value is None else value}\n")
+    parser = build_parser()
+    from_flag = resolve_config(parser.parse_args([command, flag] + ([] if value is None else [value])))
+    from_file = resolve_config(parser.parse_args([command, "--config", str(cfgfile)]))
+    assert from_flag == from_file
+    assert type(from_flag[key]) is type(from_file[key])
+    assert from_flag[key] != DEFAULTS[key]
+
+
+# option strings -> (dest, type, choices, const) of each subcommand's parser
+_SHARED_FLAGS = {
+    ("-h", "--help"): ("help", None, None, None),
+    ("--input",): ("input", None, None, None),
+    ("--output-dir",): ("output_dir", None, None, None),
+    ("--config",): ("config", None, None, None),
+    ("--scale",): ("scale", None, ["covariance", "correlation"], None),
+    ("--market",): ("market", None, ["keep", "remove"], None),
+    ("--market-column",): ("market_column", None, None, None),
+    ("--k",): ("k", int, None, None),
+    ("--eta",): ("eta", float, None, None),
+    ("--alpha",): ("alpha", float, None, None),
+    ("--gamma",): ("gamma", float, None, None),
+    ("--delta",): ("delta", float, None, None),
+    ("--tau",): ("tau", float, None, None),
+    ("--window",): ("window", int, None, None),
+    ("--stride",): ("stride", int, None, None),
+    ("--memory",): ("memory", int, None, None),
+    ("--seed",): ("seed", int, None, None),
+    ("--ffill",): ("ffill", None, None, True),
+    ("--invert-gate",): ("invert_gate", None, None, True),
+}
+EXPECTED_FLAGS = {
+    "learn": {**_SHARED_FLAGS, ("--method",): ("method", None, ["mle", "smooth"], None)},
+    "learn-tv": _SHARED_FLAGS,
+    "backtest": {**_SHARED_FLAGS, ("--indicators",): ("indicators", None, None, None)},
+    "synth": {
+        **_SHARED_FLAGS,
+        ("--mode",): ("mode", None, ["gmrf", "factor"], None),
+        ("--assets",): ("assets", int, None, None),
+        ("--days",): ("days", int, None, None),
+        ("--k-true",): ("k_true", int, None, None),
+        ("--regimes",): ("regimes", None, None, None),
+        ("--weight-min",): ("weight_min", float, None, None),
+        ("--weight-max",): ("weight_max", float, None, None),
+        ("--beta-min",): ("beta_min", float, None, None),
+        ("--beta-max",): ("beta_max", float, None, None),
+        ("--density",): ("density", float, None, None),
+    },
+    "indicators": _SHARED_FLAGS,
+}
+
+
+def test_parser_flags_are_pinned():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(EXPECTED_FLAGS)
+    for command, parser in subparsers.items():
+        got = {tuple(a.option_strings): (a.dest, a.type, a.choices, a.const) for a in parser._actions}
+        assert got == EXPECTED_FLAGS[command], command
+        # no flag has a default of its own, so a config file value is only overridden when given
+        assert all(a.default is None for a in parser._actions if a.dest != "help"), command

@@ -175,6 +175,12 @@ def test_log_gdet_warns_on_disconnected():
     assert value == pytest.approx(np.log(2.0) + np.log(2.0))
 
 
+def test_spectral_summary_and_log_gdet_need_two_nodes():
+    for fn in (spectral_summary, log_gdet):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            fn(np.zeros((1, 1)))
+
+
 def test_spectral_summary_examples():
     K3 = laplacian_from_weights(np.ones(3))
     s = spectral_summary(K3)
