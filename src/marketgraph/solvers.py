@@ -16,7 +16,8 @@ zero row sums and the off-diagonal sign constraint hold by construction;
 the only inequality left is w >= 0, handled by a spectral projected
 gradient (SPG) kernel with a nonmonotone Armijo line search.  Degree
 equality constraints are enforced by an augmented Lagrangian around that
-kernel.
+kernel, whose dual rounds run SPG only as tightly as the current degree
+residual warrants and end on a round at the full tolerance.
 
 The MLE, the degree-constrained step of the k-component solver and each
 window of the time-varying solver minimize one penalized Gaussian
@@ -81,6 +82,10 @@ _INNER_MAX_ITERS = 20_000  # SPG iterations per call
 # dual rounds of solve_l_subproblem, alternations of learn_k_component
 _MAX_OUTER_ITERS = 300
 _OUTER_TOL = 1e-5  # learn_k_component stops once L moves less (relative)
+# solve_l_subproblem's SPG tolerance per dual round: _AL_TOL_RATIO times the
+# previous round's degree residual, clipped to [inner_tol, _AL_TOL_CAP]
+_AL_TOL_CAP = 1e-3
+_AL_TOL_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,9 @@ class SolverConfig:
     """Hyperparameters shared by all solvers.
 
     ``inner_tol`` is the KKT tolerance of every SPG call, relative to the
-    start gradient.  ``alpha`` is the sparsity weight of the MLE penalty, in
+    start gradient, save the early dual rounds of
+    :func:`solve_l_subproblem`, which run looser; its final round runs at
+    ``inner_tol``.  ``alpha`` is the sparsity weight of the MLE penalty, in
     the MLE and in every time-varying window, and for the smooth baseline
     the log-degree barrier weight; the k-component solver leaves it out, as
     unit degrees fix sum(w) = p/2 and make it a constant.  ``gamma`` is the
@@ -405,6 +412,16 @@ def solve_l_subproblem(
     isolated nodes).  The equality constraint is handled by an augmented
     Lagrangian with dual updates; the inner solves run in weight space.
 
+    The inner solves are inexact, as in Conn, Gould & Toint (SIAM J.
+    Numer. Anal. 1991) and the SPG-based ALGENCAN of Birgin & Martinez
+    (*Practical Augmented Lagrangian Methods*, SIAM 2014): dual round k
+    runs SPG to ``max(inner_tol, min(_AL_TOL_CAP, _AL_TOL_RATIO *
+    res_{k-1}))``, where ``res_{k-1}`` is the previous round's max |deg - 1|
+    (the first round runs at the cap).  Early rounds, whose multiplier is
+    still far off, stop early.  A round ends the solve only if its degree
+    residual is at most 1e-7, its SPG call converged and it ran at exactly
+    ``inner_tol``, so the answer always comes from a full-tolerance round.
+
     ``null_basis`` is the orthonormal basis used for the rank correction of
     the pseudo-determinant.  The default is the constant vector (the null
     space of any connected Laplacian); the k-component solver passes its
@@ -412,8 +429,8 @@ def solve_l_subproblem(
     finite objective.
 
     Feasibility is never an issue: uniform weights 1/(p-1) give unit
-    degrees.  If the tolerance is not reached within ``_MAX_OUTER_ITERS``
-    dual rounds the last iterate is returned flagged unconverged.
+    degrees.  If no round ends the solve within ``_MAX_OUTER_ITERS`` dual
+    rounds the last iterate is returned flagged unconverged.
 
     Returns ``(L, report)``.
     """
@@ -439,12 +456,13 @@ def solve_l_subproblem(
 
     for _ in range(_MAX_OUTER_ITERS):
         fun = _likelihood(p, [c], N, dual=y, rho=rho)
-        w, _, _, iters, conv_inner, _ = _spg(fun, w, cfg.inner_tol, _INNER_MAX_ITERS)
+        tol = max(cfg.inner_tol, min(_AL_TOL_CAP, _AL_TOL_RATIO * prev_res))
+        w, _, _, iters, conv_inner, _ = _spg(fun, w, tol, _INNER_MAX_ITERS)
         total_iters += iters
         r = degrees_from_weights(w, p) - 1.0
         res = float(np.abs(r).max())
         trace.append(objective(w)[0])
-        if res <= degree_tol and conv_inner:
+        if res <= degree_tol and conv_inner and tol == cfg.inner_tol:
             converged = True
             break
         y = y + rho * r

@@ -27,6 +27,11 @@ def write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 # --- ingest_prices -----------------------------------------------------------
 
 def test_ingest_well_formed(tmp_path):
@@ -145,7 +150,7 @@ def test_synth_factor_writes_regimes(tmp_path):
     assert main(["synth", "--mode", "factor", "--assets", "5", "--days", "50",
                  "--regimes", "25:0.1,24:0.6", "--seed", "2",
                  "--output-dir", str(out)]) == EXIT_OK
-    rows = list(csv.reader((out / "regimes.csv").open()))
+    rows = read_csv(out / "regimes.csv")
     assert rows[0] == ["first_row", "residual_correlation"]
     assert [r[0] for r in rows[1:]] == ["0", "25"]
     assert (out / "market.csv").exists()
@@ -169,7 +174,7 @@ def test_learn_writes_artifacts(tmp_path, gmrf_prices):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["converged"] is True
     assert meta["config"]["scale"] == "covariance"
-    edges = list(csv.reader((out / "edges.csv").open()))
+    edges = read_csv(out / "edges.csv")
     assert edges[0] == ["i", "j", "weight"]
     assert len(edges) > 1
     L, labels = read_matrix_csv(out / "laplacian.csv")
@@ -195,8 +200,8 @@ def test_learn_correlation_scale_invariance(tmp_path, gmrf_prices):
                  "--scale", "correlation"]) == EXIT_OK
     # the price-file round-trip (exp/log/pow) perturbs returns at the last
     # ulp, so compare the edge set exactly and the weights numerically
-    e1 = list(csv.reader((out1 / "edges.csv").open()))[1:]
-    e2 = list(csv.reader((out2 / "edges.csv").open()))[1:]
+    e1 = read_csv(out1 / "edges.csv")[1:]
+    e2 = read_csv(out2 / "edges.csv")[1:]
     assert [r[:2] for r in e1] == [r[:2] for r in e2]
     w1 = np.array([float(r[2]) for r in e1])
     w2 = np.array([float(r[2]) for r in e2])
@@ -351,7 +356,7 @@ def test_learn_tv_window_count(tv_run):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["n_windows"] == 40
     assert meta["converged"] is True and meta["unconverged_windows"] == []
-    rows = list(csv.reader((out / "indicators.csv").open()))
+    rows = read_csv(out / "indicators.csv")
     assert len(rows) == 41  # header + one row per window
     assert rows[1][3] == "" and rows[2][3] != ""  # first row has no consistency
 
@@ -401,7 +406,7 @@ def test_indicators_single_matrix(tmp_path, tv_run):
         )
     out = tmp_path / "oneind"
     assert main(["indicators", "--input", str(single), "--output-dir", str(out)]) == EXIT_OK
-    rows = list(csv.reader((out / "indicators.csv").open()))
+    rows = read_csv(out / "indicators.csv")
     assert len(rows) == 2 and rows[1][3] == ""
 
 
@@ -414,7 +419,7 @@ def test_backtest_with_stored_indicators(tmp_path, tv_run):
                  "--indicators", str(run / "indicators.csv"),
                  "--output-dir", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.reader((out / "pnl.csv").open()))
+    rows = read_csv(out / "pnl.csv")
     assert rows[0] == ["date", "s1_cum", "s2_cum", "position"]
     assert len(rows) == 70  # header + 69 return days
     meta = json.loads((out / "meta.json").read_text())
@@ -476,7 +481,7 @@ def test_backtest_s1_column_matches_running_mean_return(tmp_path, tv_run):
     panel = ingest_prices(data / "prices.csv")
     daily_mean = np.diff(np.log(panel.prices), axis=0).mean(axis=1)
     expected = np.cumsum(daily_mean)
-    rows = list(csv.reader((out / "pnl.csv").open()))[1:]
+    rows = read_csv(out / "pnl.csv")[1:]
     got = np.array([float(r[1]) for r in rows])
     assert np.abs(got - expected).max() <= 1e-12
 
@@ -498,7 +503,7 @@ def test_backtest_tau_infinite_gate(tmp_path, tv_run):
                  "--indicators", str(run / "indicators.csv"),
                  "--tau", "inf", "--output-dir", str(out)])
     assert code == EXIT_OK
-    rows = list(csv.reader((out / "pnl.csv").open()))[1:]
+    rows = read_csv(out / "pnl.csv")[1:]
     # gate always open once indicators exist: s2 equals s1 on gated days
     gated = [r for r in rows if float(r[3]) == 1.0]
     assert len(gated) == 39  # one per indicator window except the first day lag

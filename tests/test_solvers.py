@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 from marketgraph import solvers
 from marketgraph.laplacian import (
+    degrees_from_weights,
     laplacian_from_weights,
     num_components,
     pair_indices,
@@ -330,7 +331,7 @@ def test_outer_traces_hold_the_documented_objectives(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_l_subproblem", capturing)
     cfg = SolverConfig(k=2)
-    _, report = learn_k_component(S, cfg)
+    L_out, report = learn_k_component(S, cfg)
     (V0, L), *outer = steps
     assert V0 is None and len(outer) > 1
 
@@ -338,11 +339,64 @@ def test_outer_traces_hold_the_documented_objectives(monkeypatch):
         return (np.sum(L * S) - np.linalg.slogdet(L + V @ V.T)[1]
                 + cfg.eta * np.trace(V.T @ L @ V))
 
-    want = []
+    # a step whose result is above its warm start is rejected: the trace
+    # repeats the warm start's value, the alternation stops and returns the
+    # warm start (on this fixture the last step rises by about 1.5e-8)
+    want, rejected = [], 0
     for V, L_new in outer:
-        want += [relaxed(L, V), relaxed(L_new, V)]
-        L = L_new
+        assert not rejected  # the alternation stops at a rejected step
+        before, after = relaxed(L, V), relaxed(L_new, V)
+        if after > before:
+            rejected += 1
+            want += [before, before]
+        else:
+            want += [before, after]
+            L = L_new
+    assert rejected == 1
     _assert_close(report.objective_trace, want)
+    assert bitwise_equal(L_out, L)
+
+
+def test_dual_rounds_follow_the_tolerance_schedule(monkeypatch):
+    # each dual round's SPG tolerance: the cap first, then 1e-2 times the
+    # previous degree residual, never outside [inner_tol, cap]; a converged
+    # L-step ends on a round at exactly inner_tol
+    tols, residuals = [], []
+    spg = solvers._spg
+
+    def recording(fun, w0, tol, max_iter):
+        tols.append(tol)
+        out = spg(fun, w0, tol, max_iter)
+        residuals.append(np.abs(degrees_from_weights(out[0], 10) - 1.0).max())
+        return out
+
+    monkeypatch.setattr(solvers, "_spg", recording)
+    cfg = SolverConfig()
+    cap = solvers._AL_TOL_CAP
+    K = random_spd(np.random.default_rng(8), 10)
+    _, report = solve_l_subproblem(K, cfg)
+    assert report.converged and len(tols) > 2
+    assert tols[0] == cap
+    assert tols[1:] == [max(cfg.inner_tol, min(cap, 1e-2 * res)) for res in residuals[:-1]]
+    assert all(cfg.inner_tol <= tol <= cap for tol in tols)
+    assert tols[-1] == cfg.inner_tol
+
+    # K = (p-1)/p I makes the uniform start the minimizer: the first, loose
+    # round is already feasible and stationary, yet only a round at
+    # inner_tol may end the solve
+    tols.clear()
+    _, report = solve_l_subproblem(0.9 * np.eye(10), cfg)
+    assert report.converged and tols == [cap, cfg.inner_tol]
+    assert report.constraint_residuals["degree"] <= 1e-12
+
+    # out of rounds before one ran at inner_tol: flagged unconverged, even
+    # where the last loose round met the degree tolerance
+    for K, rounds in ((K, 3), (0.9 * np.eye(10), 1)):
+        monkeypatch.setattr(solvers, "_MAX_OUTER_ITERS", rounds)
+        tols.clear()
+        _, report = solve_l_subproblem(K, cfg)
+        assert len(tols) == rounds and all(tol > cfg.inner_tol for tol in tols)
+        assert not report.converged
 
 
 # --- learn_time_varying -----------------------------------------------------
