@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -44,28 +45,30 @@ EXIT_NONCONVERGED = 3
 
 EDGE_THRESHOLD_REL = 1e-4  # an edge is emitted when weight > rel * max weight
 
-_ALL = ("learn", "learn-tv", "backtest", "synth", "indicators")
-
 # config key -> (default, subcommands taking it as the flag --<key with dashes>, argparse keywords);
 # a boolean option is a bare flag, and config-file values go through the same type and choices
 OPTIONS = {
-    "scale": ("correlation", _ALL, {"choices": ["covariance", "correlation"]}),
-    "market": ("keep", _ALL, {"choices": ["keep", "remove"]}),
-    "market_column": (None, _ALL, {"help": "ticker used as the market index"}),
-    "k": (1, _ALL, {"type": int, "help": "component count (k > 1 selects the k-component solver)"}),
-    "eta": (10.0, _ALL, {"type": float, "help": "spectral rank-penalty weight"}),
-    "alpha": (0.0, _ALL, {"type": float, "help": "sparsity / log-degree weight"}),
-    "gamma": (1.0, _ALL, {"type": float, "help": "Frobenius weight of the smooth baseline"}),
-    "delta": (100.0, _ALL, {"type": float, "help": "temporal coupling weight"}),
-    "tau": (1.0, _ALL, {"type": float, "help": "connectivity threshold of the S2 gate"}),
-    "window": (30, _ALL, {"type": int, "help": "rolling window length in return days"}),
-    "stride": (1, _ALL, {"type": int, "help": "rolling window stride in days"}),
-    "memory": (1, _ALL, {"type": int, "help": "joint-history length of the time-varying solver"}),
-    "seed": (0, _ALL, {"type": int}),
-    "ffill": (False, _ALL, {"help": "forward-fill missing prices instead of dropping rows"}),
-    "invert_gate": (False, _ALL, {"help": "invest when connectivity is at or above tau"}),
+    "scale": ("correlation", ("learn", "learn-tv", "backtest"), {"choices": ["covariance", "correlation"]}),
+    "market": ("keep", ("learn", "learn-tv", "backtest"), {"choices": ["keep", "remove"]}),
+    "market_column": (None, ("learn", "learn-tv", "backtest"), {"help": "ticker used as the market index"}),
+    "ffill": (False, ("learn", "learn-tv", "backtest"),
+              {"help": "forward-fill missing prices instead of dropping rows"}),
+    "k": (SolverConfig.k, ("learn",),
+          {"type": int, "help": "component count (k > 1 selects the k-component solver)"}),
+    "eta": (SolverConfig.eta, ("learn",), {"type": float, "help": "spectral rank-penalty weight"}),
+    "alpha": (SolverConfig.alpha, ("learn", "learn-tv", "backtest"),
+              {"type": float, "help": "sparsity / log-degree weight"}),
+    "gamma": (SolverConfig.gamma, ("learn",),
+              {"type": float, "help": "Frobenius weight of the smooth baseline"}),
     "method": ("mle", ("learn",), {"choices": ["mle", "smooth"], "help": "estimator for k=1"}),
+    "window": (30, ("learn-tv", "backtest"), {"type": int, "help": "rolling window length in return days"}),
+    "stride": (1, ("learn-tv", "backtest"), {"type": int, "help": "rolling window stride in days"}),
+    "delta": (SolverConfig.delta, ("learn-tv", "backtest"), {"type": float, "help": "temporal coupling weight"}),
+    "memory": (SolverConfig.memory, ("learn-tv", "backtest"),
+               {"type": int, "help": "joint-history length of the time-varying solver"}),
     "indicators": (None, ("backtest",), {"help": "indicators.csv from a previous learn-tv run"}),
+    "tau": (1.0, ("backtest",), {"type": float, "help": "connectivity threshold of the S2 gate"}),
+    "invert_gate": (False, ("backtest",), {"help": "invest when connectivity is at or above tau"}),
     "mode": ("gmrf", ("synth",), {"choices": ["gmrf", "factor"]}),
     "assets": (10, ("synth",), {"type": int, "help": "number of assets p"}),
     "days": (230, ("synth",), {"type": int, "help": "number of price rows"}),
@@ -75,6 +78,7 @@ OPTIONS = {
     "weight_max": (3.0, ("synth",), {"type": float}),
     "beta_min": (0.8, ("synth",), {"type": float}),
     "beta_max": (1.2, ("synth",), {"type": float}),
+    "seed": (0, ("synth",), {"type": int}),
     "density": (1.0, ("synth",), {"type": float, "help": "in-group extra edge probability"}),
 }
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
@@ -300,14 +304,16 @@ def _coerce(key: str, value: str):
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit command-line flags."""
-    resolved = dict(DEFAULTS)
+    """The subcommand's own options: defaults < config file < explicit command-line flags."""
+    resolved = {key: default for key, (default, commands, _) in OPTIONS.items() if args.command in commands}
     if getattr(args, "config", None):
         for key, value in _parse_config_file(args.config).items():
-            if key not in DEFAULTS:
+            if key not in OPTIONS:
                 raise ValidationError(f"unknown config key: {key}")
+            if key not in resolved:
+                raise ValidationError(f"config key {key}: not an option of {args.command}")
             resolved[key] = _coerce(key, value)
-    for key in DEFAULTS:
+    for key in resolved:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             resolved[key] = cli_value
@@ -317,14 +323,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _solver_config(r: dict) -> SolverConfig:
-    return SolverConfig(
-        eta=r["eta"],
-        alpha=r["alpha"],
-        gamma=r["gamma"],
-        delta=r["delta"],
-        k=r["k"],
-        memory=r["memory"],
-    )
+    return SolverConfig(**{f.name: r[f.name] for f in dataclasses.fields(SolverConfig) if f.name in r})
 
 
 def _prepared_returns(r: dict, returns: ReturnsPanel | None = None) -> ReturnsPanel:
@@ -370,8 +369,6 @@ def cmd_learn(r: dict) -> int:
     if r["k"] > 1:
         L, report = learn_k_component(_similarity(returns, r["scale"]), cfg)
     elif r["method"] == "smooth":
-        if r["alpha"] <= 0:
-            raise ValidationError("--method smooth requires --alpha > 0")
         X = normalize_columns(returns) if r["scale"] == "correlation" else returns
         L, report = learn_smooth_graph(distance_matrix(X), cfg)
     else:

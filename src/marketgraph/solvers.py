@@ -498,7 +498,8 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     if k >= p:
         raise ValueError(f"component count k={k} must be smaller than p={p}")
 
-    L, _ = solve_l_subproblem(Se, cfg)
+    L, rep = solve_l_subproblem(Se, cfg)
+    steps_converged = rep.converged  # the report converges only if every L-step did
     iu = pair_indices(p)
     w = np.maximum(-L[iu], 0.0)
 
@@ -517,6 +518,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
         trace.append(_likelihood(p, [laplacian_adjoint(K)], N)(w)[0])
 
         L_new, rep = solve_l_subproblem(K, cfg, w0=w, null_basis=V)
+        steps_converged = steps_converged and rep.converged
         total_iters += rep.iterations
         obj_new = float(rep.objective_trace[-1])
         if obj_new > trace[-1]:
@@ -536,7 +538,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
             break
 
     degree = float(np.abs(np.diag(L) - 1.0).max())
-    return L, _report(L, total_iters, trace, converged, degree, degenerate)
+    return L, _report(L, total_iters, trace, converged and steps_converged, degree, degenerate)
 
 
 def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):

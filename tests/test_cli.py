@@ -11,6 +11,7 @@ from marketgraph.cli import (
     EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_VALIDATION,
+    OPTIONS,
     build_parser,
     ingest_prices,
     main,
@@ -18,7 +19,7 @@ from marketgraph.cli import (
     resolve_config,
     write_matrix_csv,
 )
-from marketgraph.solvers import SolveReport
+from marketgraph.solvers import SolveReport, SolverConfig
 from marketgraph.synthetic import random_k_component_graph, score_recovery
 
 
@@ -240,9 +241,13 @@ def test_learn_smooth_requires_positive_alpha(tmp_path, gmrf_prices, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_learn_rerun_is_bitwise_reproducible(tmp_path, gmrf_prices):
+def test_learn_rerun_is_bitwise_reproducible(tmp_path):
+    # the seed is synth's: learn itself draws nothing at random
+    data = tmp_path / "data"
+    assert main(["synth", "--mode", "gmrf", "--assets", "8", "--k-true", "2", "--days", "150",
+                 "--seed", "9", "--output-dir", str(data)]) == EXIT_OK
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    args = ["learn", "--input", str(gmrf_prices), "--seed", "9"]
+    args = ["learn", "--input", str(data / "prices.csv")]
     assert main(args + ["--output-dir", str(out1)]) == EXIT_OK
     assert main(args + ["--output-dir", str(out2)]) == EXIT_OK
     assert (out1 / "laplacian.csv").read_bytes() == (out2 / "laplacian.csv").read_bytes()
@@ -332,6 +337,34 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
         assert (out / artifact).exists()
         meta = json.loads((out / "meta.json").read_text())
         assert meta["converged"] is False and meta["unconverged_windows"] == [1]
+
+
+def test_unconverged_l_steps_make_learn_k_unconverged(tmp_path, monkeypatch):
+    import marketgraph.solvers as solvers
+
+    # three sectors of five assets, positively correlated within a sector, 300 days
+    rng = np.random.default_rng(0)
+    market = 0.010 * rng.standard_normal(300)
+    cols = []
+    for _ in range(3):
+        factor = 0.008 * rng.standard_normal(300)
+        cols += [rng.uniform(0.9, 1.1) * market + rng.uniform(0.8, 1.2) * factor
+                 + 0.004 * rng.standard_normal(300) for _ in range(5)]
+    X = np.column_stack(cols)
+    # three dual rounds leave every L-step's degree residual near 1e-2, far above its 1e-7
+    monkeypatch.setattr(solvers, "_MAX_OUTER_ITERS", 3)
+    _, report = solvers.learn_k_component(np.corrcoef(X, rowvar=False), SolverConfig(k=3))
+    assert report.converged is False
+    assert report.constraint_residuals["degree"] > 1e-3
+
+    prices = 100.0 * np.exp(np.vstack([np.zeros(15), np.cumsum(X, axis=0)]))
+    dates = [datetime.date(2020, 1, 1) + datetime.timedelta(days=i) for i in range(301)]
+    write_csv(tmp_path / "p.csv", [["date", *(f"S{i:02d}" for i in range(15))]]
+              + [[d.isoformat(), *(f"{v:.17g}" for v in row)] for d, row in zip(dates, prices)])
+    out = tmp_path / "k3"
+    assert main(["learn", "--input", str(tmp_path / "p.csv"), "--k", "3",
+                 "--output-dir", str(out)]) == EXIT_NONCONVERGED
+    assert json.loads((out / "meta.json").read_text())["converged"] is False
 
 
 # --- learn-tv and indicators -----------------------------------------------------
@@ -511,21 +544,27 @@ def test_backtest_tau_infinite_gate(tmp_path, tv_run):
 
 # --- config file ----------------------------------------------------------------------
 
-def test_config_file_and_flag_precedence(tmp_path, gmrf_prices):
+def test_config_file_and_flag_precedence(tmp_path, tv_run):
+    data, _ = tv_run
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("tau = 2.5\nseed = 42\nscale = covariance\n# comment\n")
+    cfgfile.write_text("tau = 2.5\nstride = 5\nscale = covariance\n# comment\n")
     out1 = tmp_path / "c1"
-    assert main(["learn", "--input", str(gmrf_prices), "--config", str(cfgfile),
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
                  "--output-dir", str(out1)]) == EXIT_OK
     meta = json.loads((out1 / "meta.json").read_text())
     assert meta["config"]["tau"] == 2.5
-    assert meta["config"]["seed"] == 42
+    assert meta["config"]["stride"] == 5
     assert meta["config"]["scale"] == "covariance"
 
     out2 = tmp_path / "c2"
-    assert main(["learn", "--input", str(gmrf_prices), "--config", str(cfgfile),
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
                  "--tau", "3.5", "--output-dir", str(out2)]) == EXIT_OK
     assert json.loads((out2 / "meta.json").read_text())["config"]["tau"] == 3.5
+
+    cfgfile.write_text("seed = 42\n")
+    out3 = tmp_path / "c3"
+    assert main(["synth", "--config", str(cfgfile), "--output-dir", str(out3)]) == EXIT_OK
+    assert json.loads((out3 / "meta.json").read_text())["config"]["seed"] == 42
 
 
 def test_unknown_config_key_fails(tmp_path, gmrf_prices, capsys):
@@ -553,12 +592,12 @@ def test_missing_input_is_validation_error(tmp_path, capsys):
     "k = 2.5",
 ])
 def test_config_values_are_checked_like_flags(tmp_path, gmrf_prices, capsys, line):
+    key = line.split(" = ")[0]
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(line + "\n")
-    code = main(["learn", "--input", str(gmrf_prices), "--config", str(cfgfile),
+    code = main([OPTIONS[key][1][0], "--input", str(gmrf_prices), "--config", str(cfgfile),
                  "--output-dir", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
-    key = line.split(" = ")[0]
     assert f"config key {key}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -577,7 +616,7 @@ NON_DEFAULTS = {
 @pytest.mark.parametrize("key", sorted(NON_DEFAULTS))
 def test_flag_and_config_value_resolve_alike(tmp_path, key):
     assert set(NON_DEFAULTS) == set(DEFAULTS)
-    command = {"method": "learn", "indicators": "backtest"}.get(key, "synth")
+    command = OPTIONS[key][1][0]
     flag, value = "--" + key.replace("_", "-"), NON_DEFAULTS[key]
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = {'yes' if value is None else value}\n")
@@ -590,33 +629,44 @@ def test_flag_and_config_value_resolve_alike(tmp_path, key):
 
 
 # option strings -> (dest, type, choices, const) of each subcommand's parser
-_SHARED_FLAGS = {
+_FILE_FLAGS = {
     ("-h", "--help"): ("help", None, None, None),
     ("--input",): ("input", None, None, None),
     ("--output-dir",): ("output_dir", None, None, None),
     ("--config",): ("config", None, None, None),
+}
+_PRICE_FLAGS = {
+    **_FILE_FLAGS,
     ("--scale",): ("scale", None, ["covariance", "correlation"], None),
     ("--market",): ("market", None, ["keep", "remove"], None),
     ("--market-column",): ("market_column", None, None, None),
-    ("--k",): ("k", int, None, None),
-    ("--eta",): ("eta", float, None, None),
+    ("--ffill",): ("ffill", None, None, True),
     ("--alpha",): ("alpha", float, None, None),
-    ("--gamma",): ("gamma", float, None, None),
-    ("--delta",): ("delta", float, None, None),
-    ("--tau",): ("tau", float, None, None),
+}
+_ROLLING_FLAGS = {
+    **_PRICE_FLAGS,
     ("--window",): ("window", int, None, None),
     ("--stride",): ("stride", int, None, None),
+    ("--delta",): ("delta", float, None, None),
     ("--memory",): ("memory", int, None, None),
-    ("--seed",): ("seed", int, None, None),
-    ("--ffill",): ("ffill", None, None, True),
-    ("--invert-gate",): ("invert_gate", None, None, True),
 }
 EXPECTED_FLAGS = {
-    "learn": {**_SHARED_FLAGS, ("--method",): ("method", None, ["mle", "smooth"], None)},
-    "learn-tv": _SHARED_FLAGS,
-    "backtest": {**_SHARED_FLAGS, ("--indicators",): ("indicators", None, None, None)},
+    "learn": {
+        **_PRICE_FLAGS,
+        ("--k",): ("k", int, None, None),
+        ("--eta",): ("eta", float, None, None),
+        ("--gamma",): ("gamma", float, None, None),
+        ("--method",): ("method", None, ["mle", "smooth"], None),
+    },
+    "learn-tv": _ROLLING_FLAGS,
+    "backtest": {
+        **_ROLLING_FLAGS,
+        ("--indicators",): ("indicators", None, None, None),
+        ("--tau",): ("tau", float, None, None),
+        ("--invert-gate",): ("invert_gate", None, None, True),
+    },
     "synth": {
-        **_SHARED_FLAGS,
+        **_FILE_FLAGS,
         ("--mode",): ("mode", None, ["gmrf", "factor"], None),
         ("--assets",): ("assets", int, None, None),
         ("--days",): ("days", int, None, None),
@@ -626,9 +676,10 @@ EXPECTED_FLAGS = {
         ("--weight-max",): ("weight_max", float, None, None),
         ("--beta-min",): ("beta_min", float, None, None),
         ("--beta-max",): ("beta_max", float, None, None),
+        ("--seed",): ("seed", int, None, None),
         ("--density",): ("density", float, None, None),
     },
-    "indicators": _SHARED_FLAGS,
+    "indicators": _FILE_FLAGS,
 }
 
 
@@ -640,3 +691,158 @@ def test_parser_flags_are_pinned():
         assert got == EXPECTED_FLAGS[command], command
         # no flag has a default of its own, so a config file value is only overridden when given
         assert all(a.default is None for a in parser._actions if a.dest != "help"), command
+
+
+# --- each subcommand takes exactly the options it reads --------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["learn-tv", "--k", "4"],
+    ["learn-tv", "--tau", "9"],
+    ["learn", "--seed", "9"],
+    ["synth", "--tau", "5"],
+    ["indicators", "--delta", "3"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", "x.csv", "--output-dir", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_config_key_the_subcommand_does_not_read_exits_2(tmp_path, gmrf_prices, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("tau = 2\n")
+    code = main(["learn-tv", "--input", str(gmrf_prices), "--config", str(cfgfile),
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert "config key tau: not an option of learn-tv" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# every way a subcommand's input can be malformed: files under a temporary directory {d},
+# the command line, and the messages on stderr
+_WINDOWS_1 = "window,start_date,end_date\n0,2020-01-01,2020-01-30\n"
+_PRICES_3 = "date,A,B\n2020-01-01,1,2\n2020-01-02,2,3\n2020-01-03,3,1\n"
+INPUT_ERRORS = {
+    "empty price file": ({"p.csv": ""}, "learn --input {d}/p.csv", ["empty file"]),
+    "first column not date": ({"p.csv": "day,A\n2020-01-01,1\n2020-01-02,2\n"},
+                              "learn --input {d}/p.csv", ["first header column must be 'date'"]),
+    "no ticker columns": ({"p.csv": "date\n2020-01-01\n2020-01-02\n"},
+                          "learn --input {d}/p.csv", ["no ticker columns"]),
+    "ragged row": ({"p.csv": "date,A,B\n2020-01-01,1,2\n2020-01-02,1\n"},
+                   "learn-tv --input {d}/p.csv", ["row 3: expected 3 cells, got 2"]),
+    "non-positive price": ({"p.csv": "date,A\n2020-01-01,1\n2020-01-02,0\n"},
+                           "backtest --input {d}/p.csv", ["row 3, column A: non-positive price 0.0"]),
+    "inf is missing": ({"p.csv": "date,A\n2020-01-01,1\n2020-01-02,inf\n"}, "learn --input {d}/p.csv",
+                       ["dropped 1 row(s) with missing values", "fewer than 2 usable price rows"]),
+    "one usable row": ({"p.csv": "date,A\n2020-01-01,1\n"},
+                       "learn --input {d}/p.csv", ["fewer than 2 usable price rows"]),
+    "header-only matrix": ({"run/laplacian_0000.csv": "A,B\n", "run/windows.csv": _WINDOWS_1},
+                           "indicators --input {d}/run", ["not a matrix CSV"]),
+    "corrupt matrix": ({"run/laplacian_0000.csv": "A,B\n1,x\n-1,1\n", "run/windows.csv": _WINDOWS_1},
+                       "indicators --input {d}/run", ["corrupt matrix CSV"]),
+    "mis-shaped matrix": ({"run/laplacian_0000.csv": "A,B\n1,-1\n", "run/windows.csv": _WINDOWS_1},
+                          "indicators --input {d}/run", ["matrix shape (1, 2) does not match header"]),
+    "indicators on a file": ({"p.csv": _PRICES_3}, "indicators --input {d}/p.csv",
+                             ["--input must be a directory of stored Laplacians"]),
+    "no windows.csv": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n"},
+                       "indicators --input {d}/run", ["missing windows.csv"]),
+    "window count mismatch": (
+        {"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+         "run/windows.csv": _WINDOWS_1 + "1,2020-01-02,2020-01-31\n"},
+        "indicators --input {d}/run", ["windows.csv does not match the stored matrices"]),
+    "missing indicators file": ({"p.csv": _PRICES_3},
+                                "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                                ["indicator file not found"]),
+    "not an indicators file": ({"p.csv": _PRICES_3, "ind.csv": "date,lam\n"},
+                               "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                               ["not an indicators CSV"]),
+    "missing config file": ({}, "learn --input {d}/p.csv --config {d}/run.cfg",
+                            ["config file not found"]),
+    "config line without =": ({"run.cfg": "# comment\nscale correlation\n"},
+                              "learn --input {d}/p.csv --config {d}/run.cfg",
+                              ["run.cfg: line 2: expected 'key = value'"]),
+    "missing --output-dir": ({}, "synth", ["--output-dir is required"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, case):
+    files, command, messages = INPUT_ERRORS[case]
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    argv = command.format(d=tmp_path).split()
+    if case != "missing --output-dir":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message in err
+
+
+# --- the option table tells the truth ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def table_inputs(tmp_path_factory, gmrf_prices, tv_run):
+    """Price files for the modes below: gmrf_prices and tv_run's, each also with one blank cell."""
+    base = tmp_path_factory.mktemp("table")
+    tv_prices = tv_run[0] / "prices.csv"
+    paths = {"gmrf": gmrf_prices, "tv": tv_prices, "run": tv_run[1],
+             "indicators": tv_run[1] / "indicators.csv"}
+    for name in ("gmrf", "tv"):
+        rows = read_csv(paths[name])
+        rows[5][1] = ""
+        paths[name + "_gap"] = base / f"{name}_gap.csv"
+        write_csv(paths[name + "_gap"], rows)
+    return paths
+
+
+# per subcommand, the modes to try an option in (never one that sets the option itself)
+TABLE_MODES = {
+    "learn": ["learn --input {gmrf}", "learn --input {gmrf_gap}", "learn --input {gmrf} --market remove",
+              "learn --input {gmrf} --k 3", "learn --input {gmrf} --method smooth --alpha 1"],
+    "learn-tv": ["learn-tv --input {tv}", "learn-tv --input {tv_gap}",
+                 "learn-tv --input {tv} --market remove"],
+    "backtest": ["backtest --input {tv}", "backtest --input {tv} --indicators {indicators}",
+                 "backtest --input {tv_gap}", "backtest --input {tv} --market remove"],
+    "synth": ["synth", "synth --mode factor --days 231"],  # the default regimes span 230 return days
+    "indicators": ["indicators --input {run}"],
+}
+# the value each option is changed to: NON_DEFAULTS, with a real indicators file and
+# regimes that fit the default 230 return days
+TABLE_VALUES = {**NON_DEFAULTS, "indicators": "{indicators}", "regimes": "115:0.3,115:0.6"}
+
+
+def _outputs(argv, out):
+    code = main(argv + ["--output-dir", str(out)])
+    files = {f.name: f.read_bytes() for f in sorted(out.glob("*")) if f.name != "meta.json"}
+    return code, files
+
+
+@pytest.mark.parametrize("command, key", sorted(
+    (command, key) for key, (_, commands, _) in OPTIONS.items() for command in commands))
+def test_every_option_of_a_subcommand_changes_its_output(tmp_path, capsys, table_inputs, command, key):
+    """Changing the option from its default changes the exit code or a file other than meta.json."""
+    flag, value = "--" + key.replace("_", "-"), TABLE_VALUES[key]
+    change = [flag] if value is None else [flag, value.format(**table_inputs)]
+    tried = []
+    for i, mode in enumerate(TABLE_MODES[command]):
+        if flag in mode.split():
+            continue
+        argv = mode.format(**table_inputs).split()
+        base = _outputs(argv, tmp_path / f"base{i}")
+        if _outputs(argv + change, tmp_path / f"changed{i}") != base:
+            return
+        tried.append(mode)
+    pytest.fail(f"{command} {' '.join(change)} changed nothing in the modes {tried}")
+
+
+@pytest.mark.parametrize("command", list(EXPECTED_FLAGS))
+def test_meta_config_holds_the_subcommands_own_options(tmp_path, table_inputs, command):
+    argv = TABLE_MODES[command][0].format(**table_inputs).split()
+    assert main(argv + ["--output-dir", str(tmp_path)]) == EXIT_OK
+    config = json.loads((tmp_path / "meta.json").read_text())["config"]
+    options = {key for key, (_, commands, _) in OPTIONS.items() if command in commands}
+    assert set(config) == options | {"input", "output_dir"}

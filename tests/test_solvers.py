@@ -771,3 +771,41 @@ def test_spg_rejects_an_infeasible_start():
     ):
         with pytest.raises(ValueError, match="infeasible starting point"):
             solvers._spg(fun, np.ones(3), 1e-7, 10)
+
+
+# --- exits of the SPG kernel and the solvers -------------------------------------
+
+def test_spg_stops_when_the_line_search_runs_out_of_halvings():
+    # every point off the start is infeasible, so no trial step is ever accepted
+    w0 = np.ones(3)
+
+    def fun(w):
+        if np.array_equal(w, w0):
+            return 1.0, lambda: np.ones(3)
+        return np.inf, None
+
+    w, f, _, iters, conv, trace = solvers._spg(fun, w0, 1e-7, 100)
+    assert conv is False and iters == 1 and trace == [1.0]
+    assert np.array_equal(w, w0) and f == 1.0
+
+
+def test_spg_stops_at_max_iter():
+    a, b = np.array([1.0, 10.0, 100.0]), np.array([1.0, 2.0, 3.0])
+
+    def fun(w):
+        return 0.5 * float(a @ (w - b) ** 2), lambda: a * (w - b)
+
+    _, f, _, iters, conv, trace = solvers._spg(fun, np.full(3, 5.0), 1e-12, 3)
+    assert conv is False and iters == 3
+    assert len(trace) == 4 and trace[-1] == f  # the start and one entry per accepted step
+
+
+def test_k_component_flags_a_tie_at_the_eigengap():
+    # S = I: the first L-step is the uniform graph on 4 nodes, whose nonzero
+    # eigenvalue is 3-fold, so the cut after the 2nd eigenvalue is a tie
+    _, report = learn_k_component(np.eye(4), SolverConfig(k=2))
+    assert report.eigengap_degenerate is True
+
+
+def test_tv_empty_sequence():
+    assert learn_time_varying([], [], SolverConfig()) == ([], [])
