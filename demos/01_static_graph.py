@@ -20,12 +20,12 @@ from marketgraph import (
     simulate_factor_market,
     spectral_summary,
 )
-from marketgraph.laplacian import pair_indices
+from marketgraph.laplacian import pair_indices, weights_from_laplacian
 
 
 def strongest_edges(L, tickers, top=6):
     iu, ju = pair_indices(L.shape[0])
-    w = np.maximum(-L[iu, ju], 0.0)
+    w = weights_from_laplacian(L)
     order = np.argsort(w)[::-1][:top]
     return [(tickers[iu[m]], tickers[ju[m]], w[m]) for m in order]
 

@@ -10,11 +10,11 @@ connectivity series with the detected change point.
 import numpy as np
 
 from marketgraph import (
-    ReturnsPanel,
     SolverConfig,
     compute_indicators,
     correlation_from_covariance,
     learn_time_varying,
+    rolling_windows,
     sample_covariance,
     simulate_factor_market,
 )
@@ -26,17 +26,10 @@ def main():
     sim = simulate_factor_market(
         8, 120, beta_range=(0.9, 1.1), regimes=((60, 0.1), (60, 0.8)), seed=1
     )
-    R = sim.returns
-
-    S_seq, ns, dates = [], [], []
-    for s in range(0, R.n - WINDOW + 1):
-        chunk = ReturnsPanel(R.dates[s:s + WINDOW], R.tickers, R.returns[s:s + WINDOW])
-        S_seq.append(correlation_from_covariance(sample_covariance(chunk)))
-        ns.append(WINDOW)
-        dates.append(chunk.dates[-1])
-
-    L_seq, reports = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
-    ind = compute_indicators(L_seq, dates)
+    windows = rolling_windows(sim.returns, WINDOW)
+    S_seq = [correlation_from_covariance(sample_covariance(chunk)) for chunk in windows]
+    L_seq, reports = learn_time_varying(S_seq, [WINDOW] * len(windows), SolverConfig(delta=30.0))
+    ind = compute_indicators(L_seq, [chunk.dates[-1] for chunk in windows])
     lam2 = ind.algebraic_connectivity
 
     boundary = sim.regime_boundaries[0]

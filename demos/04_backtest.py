@@ -13,6 +13,7 @@ from marketgraph import (
     compute_indicators,
     correlation_from_covariance,
     learn_time_varying,
+    rolling_windows,
     sample_covariance,
     simulate_factor_market,
     strategy_s1,
@@ -33,14 +34,10 @@ def main():
     X[b0:b1] -= 0.004  # crisis drift: high correlation comes with losses
     R = ReturnsPanel(sim.returns.dates, sim.returns.tickers, X)
 
-    S_seq, ns, dates = [], [], []
-    for s in range(0, R.n - WINDOW + 1):
-        chunk = ReturnsPanel(R.dates[s:s + WINDOW], R.tickers, X[s:s + WINDOW])
-        S_seq.append(correlation_from_covariance(sample_covariance(chunk)))
-        ns.append(WINDOW)
-        dates.append(chunk.dates[-1])
-    L_seq, _ = learn_time_varying(S_seq, ns, SolverConfig(delta=30.0))
-    ind = compute_indicators(L_seq, dates)
+    windows = rolling_windows(R, WINDOW)
+    S_seq = [correlation_from_covariance(sample_covariance(chunk)) for chunk in windows]
+    L_seq, _ = learn_time_varying(S_seq, [WINDOW] * len(windows), SolverConfig(delta=30.0))
+    ind = compute_indicators(L_seq, [chunk.dates[-1] for chunk in windows])
 
     s1 = strategy_s1(R)
     s2 = strategy_s2(R, ind, tau=TAU)

@@ -33,6 +33,7 @@ from .preprocessing import (
     log_returns,
     normalize_columns,
     remove_market_factor,
+    rolling_windows,
     sample_covariance,
 )
 from .solvers import (
@@ -87,6 +88,7 @@ __all__ = [
     "num_components",
     "random_k_component_graph",
     "remove_market_factor",
+    "rolling_windows",
     "sample_covariance",
     "sample_gmrf",
     "score_recovery",

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .analytics import IndicatorSeries, compute_indicators, strategy_s1, strategy_s2
-from .laplacian import laplacian_from_weights, num_components, pair_indices  # noqa: F401 (perfbench traces it)
+from .laplacian import edge_indices, num_components, pair_indices, weights_from_laplacian
+from .laplacian import laplacian_from_weights  # noqa: F401 (perfbench traces it)
 from .preprocessing import (
     PricePanel,
     ReturnsPanel,
@@ -34,6 +35,7 @@ from .preprocessing import (
     log_returns,
     normalize_columns,
     remove_market_factor,
+    rolling_windows,
     sample_covariance,
 )
 from .solvers import SolverConfig, learn_connected_mle, learn_k_component, learn_smooth_graph, learn_time_varying
@@ -42,8 +44,6 @@ from .synthetic import random_k_component_graph, sample_gmrf, simulate_factor_ma
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGED = 3
-
-EDGE_THRESHOLD_REL = 1e-4  # an edge is emitted when weight > rel * max weight
 
 # config key -> (default, subcommands taking it as the flag --<key with dashes>, argparse keywords);
 # a boolean option is a bare flag, and config-file values go through the same type and choices
@@ -73,7 +73,7 @@ OPTIONS = {
     "assets": (10, ("synth",), {"type": int, "help": "number of assets p"}),
     "days": (230, ("synth",), {"type": int, "help": "number of price rows"}),
     "k_true": (2, ("synth",), {"type": int, "help": "planted component count"}),
-    "regimes": ("115:0.1,115:0.7", ("synth",), {"help": "factor mode segments 'len:corr,len:corr,...'"}),
+    "regimes": ("115:0.1,114:0.7", ("synth",), {"help": "factor mode segments 'len:corr,len:corr,...'"}),
     "weight_min": (1.0, ("synth",), {"type": float}),
     "weight_max": (3.0, ("synth",), {"type": float}),
     "beta_min": (0.8, ("synth",), {"type": float}),
@@ -103,6 +103,11 @@ def _write_rows(path, header, rows) -> None:
 def _read_rows(path) -> list[list[str]]:
     with Path(path).open(newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _check_cells(path, rn: int, row: list[str], width: int) -> None:
+    if len(row) != width:
+        raise ValidationError(f"{path}: row {rn}: expected {width} cells, got {len(row)}")
 
 
 def _fmt(x: float) -> str:
@@ -142,10 +147,7 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     for rn, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        if len(row) != len(tickers) + 1:
-            raise ValidationError(
-                f"{path}: row {rn}: expected {len(tickers) + 1} cells, got {len(row)}"
-            )
+        _check_cells(path, rn, row, len(tickers) + 1)
         try:
             d = datetime.date.fromisoformat(row[0].strip())
         except ValueError:
@@ -210,9 +212,8 @@ def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def write_edges_csv(path, L: np.ndarray, labels) -> int:
     iu, ju = pair_indices(L.shape[0])
-    w = np.maximum(-L[iu, ju], 0.0)
-    threshold = EDGE_THRESHOLD_REL * (w.max() if w.size else 0.0)
-    edges = np.flatnonzero(w > threshold)
+    w = weights_from_laplacian(L)
+    edges = edge_indices(w)
     rows = ([labels[iu[e]], labels[ju[e]], _fmt(w[e])] for e in edges)
     _write_rows(path, ["i", "j", "weight"], rows)
     return len(edges)
@@ -237,7 +238,8 @@ def read_indicators_csv(path):
     if not rows or rows[0][:3] != ["date", "algebraic_connectivity", "spectral_radius"]:
         raise ValidationError(f"{path}: not an indicators CSV")
     dates, lam2, lmax, cons = [], [], [], []
-    for row in rows[1:]:
+    for rn, row in enumerate(rows[1:], start=2):
+        _check_cells(path, rn, row, 4)
         dates.append(datetime.date.fromisoformat(row[0]))
         lam2.append(float(row[1]))
         lmax.append(float(row[2]))
@@ -397,28 +399,12 @@ def _rolling_graphs(returns: ReturnsPanel, r: dict):
     ``meta.json`` fields ``converged`` and ``unconverged_windows`` (window
     indices), and ``spans`` each window's first and last date.
     """
-    window, stride = r["window"], r["stride"]
-    if window < 2:
-        raise ValidationError("window length must be at least 2")
-    if stride < 1:
-        raise ValidationError("stride must be at least 1")
-    if returns.n < window:
-        raise ValidationError(
-            f"{returns.n} return rows are fewer than one window of {window}"
-        )
+    windows = rolling_windows(returns, r["window"], r["stride"])
     cfg = _solver_config(r)
-    S_seq, n_seq, spans = [], [], []
-    for s in range(0, returns.n - window + 1, stride):
-        chunk = ReturnsPanel(
-            dates=returns.dates[s : s + window],
-            tickers=returns.tickers,
-            returns=returns.returns[s : s + window],
-        )
-        S_seq.append(_similarity(chunk, r["scale"]))
-        n_seq.append(chunk.n)
-        spans.append((chunk.dates[0], chunk.dates[-1]))
-    L_seq, reports = learn_time_varying(S_seq, n_seq, cfg)
+    S_seq = [_similarity(chunk, r["scale"]) for chunk in windows]
+    L_seq, reports = learn_time_varying(S_seq, [chunk.n for chunk in windows], cfg)
     unconverged = [t for t, report in enumerate(reports) if not report.converged]
+    spans = [(chunk.dates[0], chunk.dates[-1]) for chunk in windows]
     return L_seq, {"converged": not unconverged, "unconverged_windows": unconverged}, spans
 
 
@@ -551,7 +537,10 @@ def cmd_indicators(r: dict) -> int:
     windows_file = indir / "windows.csv"
     if not windows_file.exists():
         raise ValidationError(f"missing windows.csv in {indir}")
-    end_dates = [datetime.date.fromisoformat(row[2]) for row in _read_rows(windows_file)[1:]]
+    rows = _read_rows(windows_file)[1:]
+    for rn, row in enumerate(rows, start=2):
+        _check_cells(windows_file, rn, row, 3)
+    end_dates = [datetime.date.fromisoformat(row[2]) for row in rows]
     if len(end_dates) != len(matrix_files):
         raise ValidationError("windows.csv does not match the stored matrices")
     L_seq = [read_matrix_csv(f)[0] for f in matrix_files]

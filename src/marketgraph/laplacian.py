@@ -29,6 +29,7 @@ __all__ = [
     "SpectralSummary",
     "degrees_from_weights",
     "dual_to_pairs",
+    "edge_indices",
     "laplacian_adjoint",
     "laplacian_from_weights",
     "log_gdet",
@@ -114,10 +115,10 @@ def laplacian_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
     return L
 
 
-def weights_from_laplacian(L: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Recover the weight vector from a Laplacian matrix.
+def weights_from_laplacian(L: np.ndarray) -> np.ndarray:
+    """The weights max(-L_ij, 0) of a Laplacian: the one reading of weights off a matrix.
 
-    Rejects matrices whose symmetry or row sums deviate by more than ``tol``.
+    Rejects matrices whose symmetry or row sums deviate by more than 1e-6.
     Tiny positive off-diagonal entries (solver round-off, <= 1e-12) are
     clamped to zero weight.
     """
@@ -125,13 +126,18 @@ def weights_from_laplacian(L: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("Laplacian must be a square matrix")
     asym = np.abs(L - L.T).max()
-    if asym > tol:
-        raise ValueError(f"matrix is not symmetric: max |L - L^T| = {asym:.3e} > {tol:.1e}")
+    if asym > 1e-6:
+        raise ValueError(f"matrix is not symmetric: max |L - L^T| = {asym:.3e} > 1.0e-06")
     row = np.abs(L.sum(axis=1)).max()
-    if row > tol:
-        raise ValueError(f"matrix has nonzero row sums: max |L 1| = {row:.3e} > {tol:.1e}")
+    if row > 1e-6:
+        raise ValueError(f"matrix has nonzero row sums: max |L 1| = {row:.3e} > 1.0e-06")
     w = -L[pair_indices(L.shape[0])]
     return np.maximum(w, 0.0)
+
+
+def edge_indices(w: np.ndarray) -> np.ndarray:
+    """The pairs that count as edges: weight > 1e-4 times the largest weight."""
+    return np.flatnonzero(w > 1e-4 * (w.max() if w.size else 0.0))
 
 
 def degrees_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
@@ -180,20 +186,18 @@ class SpectralSummary:
     spectral_radius: float
 
 
-def spectral_summary(L: np.ndarray, zero_tol: float | None = None) -> SpectralSummary:
+def spectral_summary(L: np.ndarray) -> SpectralSummary:
     """Eigenvalues (ascending) plus nullity, Fiedler value and spectral radius.
 
-    ``zero_tol`` defaults to 1e-8 * max(1, lambda_max).  The algebraic
-    connectivity is the second smallest eigenvalue regardless of nullity:
-    it is zero exactly when the graph is disconnected.
+    Eigenvalues up to the fixed 1e-8 * max(1, lambda_max) count as zero.
+    The algebraic connectivity is the second smallest eigenvalue regardless
+    of nullity: it is zero exactly when the graph is disconnected.
     """
     L = np.asarray(L, dtype=float)
     lam = np.linalg.eigvalsh(L)
     if lam.size < 2:
         raise ValueError(f"need at least 2 nodes, got p={lam.size}")
-    if zero_tol is None:
-        zero_tol = zero_eigenvalue_tolerance(lam)
-    nullity = int(np.count_nonzero(lam <= zero_tol))
+    nullity = int(np.count_nonzero(lam <= zero_eigenvalue_tolerance(lam)))
     return SpectralSummary(
         eigenvalues=lam,
         nullity=nullity,
@@ -202,13 +206,13 @@ def spectral_summary(L: np.ndarray, zero_tol: float | None = None) -> SpectralSu
     )
 
 
-def num_components(L: np.ndarray, zero_tol: float | None = None) -> int:
-    """Number of graph components = multiplicity of the zero eigenvalue."""
-    return spectral_summary(L, zero_tol).nullity
+def num_components(L: np.ndarray) -> int:
+    """Number of graph components: the count of eigenvalues <= 1e-8 * max(1, lambda_max)."""
+    return spectral_summary(L).nullity
 
 
-def log_gdet(L: np.ndarray, zero_tol: float | None = None) -> float:
-    """Log pseudo-determinant: sum of logs of the positive eigenvalues.
+def log_gdet(L: np.ndarray) -> float:
+    """Log pseudo-determinant: sum of logs of the eigenvalues above 1e-8 * max(1, lambda_max).
 
     For a connected graph this equals log det(L + (1/p) 11^T) because the
     rank-one correction fills exactly the constant-vector null direction
@@ -216,7 +220,7 @@ def log_gdet(L: np.ndarray, zero_tol: float | None = None) -> float:
     (nullity > 1) is signalled with :class:`DisconnectedGraphWarning`; the
     caller decides whether that is fatal.
     """
-    spec = spectral_summary(L, zero_tol)
+    spec = spectral_summary(L)
     if spec.nullity > 1:
         warnings.warn(
             f"graph has {spec.nullity} components; pseudo-determinant taken over "
@@ -238,16 +242,11 @@ def time_consistency(L_a: np.ndarray, L_b: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def validate_laplacian(
-    L: np.ndarray,
-    row_sum_tol: float = 1e-9,
-    sign_tol: float = 1e-12,
-    psd_tol: float = 1e-9,
-) -> None:
+def validate_laplacian(L: np.ndarray) -> None:
     """Assert the Laplacian invariants; raise ValueError on violation.
 
-    Checks symmetry (exact), row sums within ``row_sum_tol``, off-diagonal
-    entries <= ``sign_tol``, and smallest eigenvalue >= -``psd_tol``.
+    Checks symmetry (exact), row sums within a fixed 1e-9, off-diagonal
+    entries <= 1e-12, and smallest eigenvalue >= -1e-9.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -255,11 +254,11 @@ def validate_laplacian(
     if not np.array_equal(L, L.T):
         raise ValueError("Laplacian is not exactly symmetric")
     row = np.abs(L.sum(axis=1)).max()
-    if row > row_sum_tol:
+    if row > 1e-9:
         raise ValueError(f"row sums violate L1=0: max residual {row:.3e}")
     off = L[pair_indices(L.shape[0])]
-    if off.size and off.max() > sign_tol:
+    if off.size and off.max() > 1e-12:
         raise ValueError(f"positive off-diagonal entry {off.max():.3e}")
     lam_min = float(np.linalg.eigvalsh(L)[0])
-    if lam_min < -psd_tol:
+    if lam_min < -1e-9:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {lam_min:.3e}")

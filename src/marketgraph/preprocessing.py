@@ -1,8 +1,8 @@
 """Turn raw price panels into solver inputs.
 
-Log-returns, sample covariance/correlation, market-factor removal and
-squared-distance matrices.  All functions are pure; panels are immutable
-after construction.
+Log-returns, rolling windows, sample covariance/correlation,
+market-factor removal and squared-distance matrices.  All functions are
+pure; panels are immutable after construction.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "log_returns",
     "normalize_columns",
     "remove_market_factor",
+    "rolling_windows",
     "sample_covariance",
 ]
 
@@ -99,6 +100,20 @@ def log_returns(panel: PricePanel) -> ReturnsPanel:
         tickers=panel.tickers,
         returns=np.diff(logs, axis=0),
     )
+
+
+def rolling_windows(panel: ReturnsPanel, window: int, stride: int = 1) -> list[ReturnsPanel]:
+    """The sub-panels of rows [s, s + window), s = 0, stride, ...; a shorter tail is left out."""
+    if window < 2:
+        raise ValueError("window length must be at least 2")
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    if panel.n < window:
+        raise ValueError(f"{panel.n} return rows are fewer than one window of {window}")
+    return [
+        ReturnsPanel(panel.dates[s : s + window], panel.tickers, panel.returns[s : s + window])
+        for s in range(0, panel.n - window + 1, stride)
+    ]
 
 
 def sample_covariance(panel: ReturnsPanel) -> SimilarityMatrix:

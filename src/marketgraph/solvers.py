@@ -63,6 +63,7 @@ from .laplacian import (
     num_components,
     pair_count,
     pair_indices,
+    weights_from_laplacian,
 )
 from .preprocessing import SimilarityMatrix
 
@@ -500,8 +501,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
 
     L, rep = solve_l_subproblem(Se, cfg)
     steps_converged = rep.converged  # the report converges only if every L-step did
-    iu = pair_indices(p)
-    w = np.maximum(-L[iu], 0.0)
+    w = weights_from_laplacian(L)
 
     trace: list[float] = []
     total_iters = 0
@@ -529,7 +529,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
             converged = True
             break
         trace.append(obj_new)
-        w = np.maximum(-L_new[iu], 0.0)
+        w = weights_from_laplacian(L_new)
 
         rel = np.linalg.norm(L_new - L) / max(np.linalg.norm(L), 1e-30)
         L = L_new

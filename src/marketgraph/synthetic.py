@@ -12,9 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laplacian import (
+    edge_indices,
     laplacian_from_weights,
     pair_count,
     pair_indices,
+    weights_from_laplacian,
     zero_eigenvalue_tolerance,
 )
 from .preprocessing import ReturnsPanel
@@ -210,27 +212,20 @@ def simulate_factor_market(
     )
 
 
-def score_recovery(
-    L_hat: np.ndarray,
-    planted: PlantedGraph,
-    edge_threshold: float | None = None,
-) -> RecoveryScore:
+def score_recovery(L_hat: np.ndarray, planted: PlantedGraph) -> RecoveryScore:
     """Edge-support precision/recall/F-score plus relative Frobenius error.
 
-    An estimated edge counts when its weight exceeds ``edge_threshold``;
-    the default threshold is 1e-4 times the largest estimated weight.
+    ``L_hat`` must be a Laplacian (see
+    :func:`~marketgraph.laplacian.weights_from_laplacian`).  An estimated
+    edge counts as :func:`~marketgraph.laplacian.edge_indices` says: its
+    weight exceeds a fixed 1e-4 times the largest estimated weight, the
+    rule that also picks the rows of the CLI's ``edges.csv``.
     """
     L_hat = np.asarray(L_hat, dtype=float)
     if L_hat.shape != planted.L_true.shape:
         raise ValueError("estimate and planted graph have different sizes")
-    p = L_hat.shape[0]
-    iu, ju = pair_indices(p)
-    w_hat = np.maximum(-L_hat[iu, ju], 0.0)
-    if edge_threshold is None:
-        edge_threshold = 1e-4 * (w_hat.max() if w_hat.size else 0.0)
-    predicted = {
-        (int(i), int(j)) for i, j, wv in zip(iu, ju, w_hat) if wv > edge_threshold
-    }
+    iu, ju = pair_indices(L_hat.shape[0])
+    predicted = {(int(iu[m]), int(ju[m])) for m in edge_indices(weights_from_laplacian(L_hat))}
     truth = planted.edge_support
     tp = len(predicted & truth)
     precision = tp / len(predicted) if predicted else 0.0

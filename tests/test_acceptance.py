@@ -24,6 +24,7 @@ from marketgraph.preprocessing import (
     ReturnsPanel,
     correlation_from_covariance,
     distance_matrix,
+    rolling_windows,
     sample_covariance,
 )
 from marketgraph.solvers import (
@@ -166,14 +167,9 @@ def regime_similarity_sequence(seed, p=8, reg_len=60, low=0.1, high=0.8, window=
         p, 2 * reg_len, beta_range=(0.9, 1.1),
         regimes=((reg_len, low), (reg_len, high)), seed=seed,
     )
-    R = sim.returns
-    S_seq, ns, dates = [], [], []
-    for s in range(0, R.n - window + 1):
-        chunk = ReturnsPanel(R.dates[s : s + window], R.tickers, R.returns[s : s + window])
-        S_seq.append(correlation_from_covariance(sample_covariance(chunk)))
-        ns.append(window)
-        dates.append(chunk.dates[-1])
-    return S_seq, ns, dates, sim.regime_boundaries[0]
+    windows = rolling_windows(sim.returns, window)
+    S_seq = [correlation_from_covariance(sample_covariance(chunk)) for chunk in windows]
+    return S_seq, [window] * len(windows), [chunk.dates[-1] for chunk in windows], sim.regime_boundaries[0]
 
 
 # ---------------------------------------------------------------------------

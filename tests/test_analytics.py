@@ -11,7 +11,12 @@ from marketgraph.analytics import (
     strategy_s2,
 )
 from marketgraph.laplacian import laplacian_from_weights, spectral_summary, time_consistency
-from marketgraph.preprocessing import ReturnsPanel, correlation_from_covariance, sample_covariance
+from marketgraph.preprocessing import (
+    ReturnsPanel,
+    correlation_from_covariance,
+    rolling_windows,
+    sample_covariance,
+)
 from marketgraph.solvers import SolverConfig, learn_time_varying
 from marketgraph.synthetic import simulate_factor_market
 
@@ -78,6 +83,8 @@ def test_indicators_validation():
         compute_indicators([], [])
     with pytest.raises(ValueError, match="dimension"):
         compute_indicators([L, np.zeros((4, 4))], [day(0), day(1)])
+    with pytest.raises(ValueError, match="dates must align"):
+        compute_indicators([L, L], [day(0)])
 
 
 # --- strategies ----------------------------------------------------------------
@@ -157,6 +164,9 @@ def test_s2_misaligned_series_raises():
     ind = make_indicators([0.5, 0.5], start_day=100)  # dates far after the panel
     with pytest.raises(ValueError, match="align"):
         strategy_s2(returns, ind, tau=1.0)
+    twice = IndicatorSeries((day(0), day(0)), np.zeros(2), np.ones(2), np.zeros(1))
+    with pytest.raises(ValueError, match="duplicates"):
+        strategy_s2(returns, twice, tau=1.0)
 
 
 def test_s2_positions_are_causal_through_the_pipeline():
@@ -169,16 +179,10 @@ def test_s2_positions_are_causal_through_the_pipeline():
 
     def pipeline(X):
         panel = ReturnsPanel(sim.returns.dates, sim.returns.tickers, X)
-        S_seq, ns, dates = [], [], []
-        for s in range(0, panel.n - window + 1):
-            chunk = ReturnsPanel(
-                panel.dates[s : s + window], panel.tickers, X[s : s + window]
-            )
-            S_seq.append(correlation_from_covariance(sample_covariance(chunk)))
-            ns.append(window)
-            dates.append(chunk.dates[-1])
-        Ls, _ = learn_time_varying(S_seq, ns, SolverConfig(delta=50.0))
-        ind = compute_indicators(Ls, dates)
+        windows = rolling_windows(panel, window)
+        S_seq = [correlation_from_covariance(sample_covariance(chunk)) for chunk in windows]
+        Ls, _ = learn_time_varying(S_seq, [window] * len(windows), SolverConfig(delta=50.0))
+        ind = compute_indicators(Ls, [chunk.dates[-1] for chunk in windows])
         return strategy_s2(panel, ind, tau=1.5).positions
 
     pos_a = pipeline(base)

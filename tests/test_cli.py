@@ -40,6 +40,7 @@ def test_ingest_well_formed(tmp_path):
     write_csv(f, [["date", "AAA", "BBB"],
                   ["2020-01-01", "10", "20"],
                   ["2020-01-02", "11", "21"],
+                  [],  # a blank line is skipped
                   ["2020-01-03", "12", "22"]])
     panel = ingest_prices(f)
     assert panel.prices.shape == (3, 2)
@@ -286,6 +287,12 @@ def test_config_file_bad_boolean(tmp_path, gmrf_prices, capsys):
                  "--output-dir", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
     assert "boolean" in capsys.readouterr().err
+
+
+def test_synth_factor_runs_with_every_default(tmp_path):
+    # the default regimes span the 229 return days of the default 230 price rows
+    assert main(["synth", "--mode", "factor", "--output-dir", str(tmp_path)]) == EXIT_OK
+    assert read_csv(tmp_path / "regimes.csv")[1:] == [["0", "0.10000000000000001"], ["115", "0.69999999999999996"]]
 
 
 def test_synth_bad_regimes_string(tmp_path, capsys):
@@ -547,7 +554,7 @@ def test_backtest_tau_infinite_gate(tmp_path, tv_run):
 def test_config_file_and_flag_precedence(tmp_path, tv_run):
     data, _ = tv_run
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("tau = 2.5\nstride = 5\nscale = covariance\n# comment\n")
+    cfgfile.write_text("tau = 2.5\nstride = 5\nscale = covariance\nffill = off\n# comment\n")
     out1 = tmp_path / "c1"
     assert main(["backtest", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
                  "--output-dir", str(out1)]) == EXIT_OK
@@ -555,6 +562,7 @@ def test_config_file_and_flag_precedence(tmp_path, tv_run):
     assert meta["config"]["tau"] == 2.5
     assert meta["config"]["stride"] == 5
     assert meta["config"]["scale"] == "covariance"
+    assert meta["config"]["ffill"] is False
 
     out2 = tmp_path / "c2"
     assert main(["backtest", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
@@ -724,6 +732,7 @@ def test_a_config_key_the_subcommand_does_not_read_exits_2(tmp_path, gmrf_prices
 # the command line, and the messages on stderr
 _WINDOWS_1 = "window,start_date,end_date\n0,2020-01-01,2020-01-30\n"
 _PRICES_3 = "date,A,B\n2020-01-01,1,2\n2020-01-02,2,3\n2020-01-03,3,1\n"
+_INDICATORS_HEADER = "date,algebraic_connectivity,spectral_radius,time_consistency\n"
 INPUT_ERRORS = {
     "empty price file": ({"p.csv": ""}, "learn --input {d}/p.csv", ["empty file"]),
     "first column not date": ({"p.csv": "day,A\n2020-01-01,1\n2020-01-02,2\n"},
@@ -758,6 +767,19 @@ INPUT_ERRORS = {
     "not an indicators file": ({"p.csv": _PRICES_3, "ind.csv": "date,lam\n"},
                                "backtest --input {d}/p.csv --indicators {d}/ind.csv",
                                ["not an indicators CSV"]),
+    "short indicators row": ({"p.csv": _PRICES_3, "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0\n"},
+                             "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                             ["ind.csv: row 2: expected 4 cells, got 2"]),
+    "blank indicators line": ({"p.csv": _PRICES_3,
+                               "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,\n\n2020-01-03,1.0,2.0,0.5\n"},
+                              "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                              ["ind.csv: row 3: expected 4 cells, got 0"]),
+    "short windows row": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                           "run/windows.csv": "window,start_date,end_date\n0,2020-01-01\n"},
+                          "indicators --input {d}/run", ["windows.csv: row 2: expected 3 cells, got 2"]),
+    "blank windows line": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                            "run/windows.csv": "window,start_date,end_date\n\n0,2020-01-01,2020-01-30\n"},
+                           "indicators --input {d}/run", ["windows.csv: row 2: expected 3 cells, got 0"]),
     "missing config file": ({}, "learn --input {d}/p.csv --config {d}/run.cfg",
                             ["config file not found"]),
     "config line without =": ({"run.cfg": "# comment\nscale correlation\n"},
@@ -807,12 +829,12 @@ TABLE_MODES = {
                  "learn-tv --input {tv} --market remove"],
     "backtest": ["backtest --input {tv}", "backtest --input {tv} --indicators {indicators}",
                  "backtest --input {tv_gap}", "backtest --input {tv} --market remove"],
-    "synth": ["synth", "synth --mode factor --days 231"],  # the default regimes span 230 return days
+    "synth": ["synth", "synth --mode factor"],
     "indicators": ["indicators --input {run}"],
 }
 # the value each option is changed to: NON_DEFAULTS, with a real indicators file and
-# regimes that fit the default 230 return days
-TABLE_VALUES = {**NON_DEFAULTS, "indicators": "{indicators}", "regimes": "115:0.3,115:0.6"}
+# regimes that fit the default 229 return days
+TABLE_VALUES = {**NON_DEFAULTS, "indicators": "{indicators}", "regimes": "115:0.3,114:0.6"}
 
 
 def _outputs(argv, out):

@@ -57,6 +57,8 @@ def test_pair_count_node_count_roundtrip():
         assert node_count(pair_count(p)) == p
     with pytest.raises(ValueError):
         node_count(4)  # not p(p-1)/2 for any p
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        pair_count(1)
 
 
 def test_laplacian_from_weights_examples():
@@ -66,6 +68,8 @@ def test_laplacian_from_weights_examples():
     expected = np.array([[1.0, -1.0, 0.0], [-1.0, 3.0, -2.0], [0.0, -2.0, 2.0]])
     assert np.array_equal(laplacian_from_weights(np.array([1.0, 0.0, 2.0])), expected)
     assert np.array_equal(laplacian_from_weights(np.zeros(3)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="does not match p=3"):
+        laplacian_from_weights(np.ones(2), 3)
 
 
 def test_weights_from_laplacian_examples():
@@ -77,6 +81,8 @@ def test_weights_from_laplacian_examples():
         weights_from_laplacian(np.array([[1.0, -1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="row sums"):
         weights_from_laplacian(np.array([[2.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        weights_from_laplacian(np.zeros((2, 3)))
 
 
 def test_weights_from_laplacian_clamps_roundoff():
@@ -243,3 +249,9 @@ def test_validate_laplacian_rejects_violations():
         validate_laplacian(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     with pytest.raises(ValueError, match="off-diagonal"):
         validate_laplacian(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        validate_laplacian(np.zeros((2, 3)))
+    # passes the symmetry, row-sum (9.99e-10) and sign (1e-12) checks; eigenvalue -1.001e-9
+    a, b = -1e-9, 1e-12
+    with pytest.raises(ValueError, match="not PSD"):
+        validate_laplacian(np.array([[a, b], [b, a]]))

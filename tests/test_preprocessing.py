@@ -12,6 +12,7 @@ from marketgraph.preprocessing import (
     log_returns,
     normalize_columns,
     remove_market_factor,
+    rolling_windows,
     sample_covariance,
 )
 from marketgraph.synthetic import simulate_factor_market
@@ -31,6 +32,39 @@ def make_prices(P, tickers=None):
     dates = tuple(datetime.date(2021, 1, 1) + datetime.timedelta(days=i) for i in range(n))
     tickers = tuple(tickers or (f"T{i}" for i in range(p)))
     return PricePanel(dates=dates, tickers=tickers, prices=P)
+
+
+# --- panels and windows -----------------------------------------------------
+
+def test_inconsistent_inputs_are_rejected():
+    with pytest.raises(ValueError, match="price matrix shape"):
+        make_prices(np.ones((3, 2)), tickers=("A", "B", "C"))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PricePanel(dates=(datetime.date(2021, 1, 2), datetime.date(2021, 1, 1)),
+                   tickers=("A",), prices=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="return matrix shape"):
+        make_panel(np.ones((3, 2)), tickers=("A",))
+    with pytest.raises(ValueError, match="unknown similarity kind"):
+        SimilarityMatrix(entries=np.eye(2), kind="distance")
+    with pytest.raises(ValueError, match="symmetric"):
+        SimilarityMatrix(entries=np.array([[1.0, 0.5], [0.0, 1.0]]), kind="covariance")
+    with pytest.raises(ValueError, match="align with the panel dates"):
+        remove_market_factor(make_panel(np.ones((4, 2))), np.arange(3.0))
+
+
+def test_rolling_windows_are_the_row_blocks_at_each_stride():
+    panel = make_panel(np.arange(14.0).reshape(7, 2))
+    windows = rolling_windows(panel, 3, stride=2)
+    assert len(windows) == 3  # starts 0, 2, 4; the tail row 6 alone is left out
+    for s, chunk in zip((0, 2, 4), windows):
+        assert chunk.dates == panel.dates[s : s + 3] and chunk.tickers == panel.tickers
+        assert np.array_equal(chunk.returns, panel.returns[s : s + 3])
+    assert len(rolling_windows(panel, 2)) == 6 and len(rolling_windows(panel, 7)) == 1
+    for args, message in [((1,), "window length must be at least 2"),
+                          ((3, 0), "stride must be at least 1"),
+                          ((8,), "7 return rows are fewer than one window of 8")]:
+        with pytest.raises(ValueError, match=message):
+            rolling_windows(panel, *args)
 
 
 # --- log_returns ---------------------------------------------------------

@@ -78,6 +78,10 @@ def test_mle_validates_input():
         learn_connected_mle(np.array([[1.0, 0.2], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="finite"):
         learn_connected_mle(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        learn_connected_mle(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        learn_connected_mle(np.ones((1, 1)))
 
 
 def test_mle_flags_disconnected_solution():
@@ -153,6 +157,8 @@ def test_smooth_rejects_bad_input():
         learn_smooth_graph(np.array([[0.0, -1.0], [-1.0, 0.0]]), SolverConfig(alpha=1.0))
     with pytest.raises(ValueError, match="alpha"):
         learn_smooth_graph(np.zeros((2, 2)), SolverConfig(alpha=0.0))
+    with pytest.raises(ValueError, match="gamma"):
+        learn_smooth_graph(np.zeros((2, 2)), SolverConfig(alpha=1.0, gamma=0.0))
 
 
 # --- fan_subspace -----------------------------------------------------------
@@ -564,6 +570,8 @@ def test_tv_validates_inputs():
         learn_time_varying([s.entries for s in seqs], [30], SolverConfig())
     with pytest.raises(ValueError, match="at least 1"):
         learn_time_varying([s.entries for s in seqs], [30, 0], SolverConfig())
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        learn_time_varying([s.entries for s in seqs], [30, 30], SolverConfig(delta=-1.0))
 
 
 def test_solver_config_validation():

@@ -36,6 +36,8 @@ def test_planted_determinism():
 def test_planted_rejects_small_components():
     with pytest.raises(ValueError):
         random_k_component_graph(5, 3, seed=0)
+    with pytest.raises(ValueError, match="group sizes"):
+        random_k_component_graph(5, 2, sizes=(1, 4), seed=0)
 
 
 def test_planted_explicit_sizes_and_weight_range():
@@ -43,6 +45,8 @@ def test_planted_explicit_sizes_and_weight_range():
     assert tuple(len(g) for g in pg.node_groups) == (3, 4)
     w = pg.weights[pg.weights > 0]
     assert w.min() >= 2.0 and w.max() <= 2.5
+    with pytest.raises(ValueError, match="positive interval"):
+        random_k_component_graph(7, 2, weight_range=(0.0, 2.5), seed=1)
 
 
 # --- sample_gmrf -------------------------------------------------------------
@@ -114,6 +118,8 @@ def test_factor_market_determinism_and_shapes():
     assert a.returns.returns.shape == (30, 4)
     with pytest.raises(ValueError, match="regime lengths"):
         simulate_factor_market(4, 30, regimes=((10, 0.1),), seed=0)
+    with pytest.raises(ValueError, match="correlation levels"):
+        simulate_factor_market(4, 30, regimes=((30, 1.0),), seed=0)
 
 
 # --- score_recovery -----------------------------------------------------------
@@ -132,6 +138,14 @@ def test_score_zero_estimate_has_zero_recall():
     assert score.relative_error == pytest.approx(1.0)
 
 
+def test_score_rejects_a_mismatched_or_non_laplacian_estimate():
+    pg = random_k_component_graph(8, 2, seed=4)
+    with pytest.raises(ValueError, match="different sizes"):
+        score_recovery(np.zeros((7, 7)), pg)
+    with pytest.raises(ValueError, match="row sums"):
+        score_recovery(np.eye(8), pg)
+
+
 def test_score_matches_confusion_count_oracle():
     rng = np.random.default_rng(5)
     pg = random_k_component_graph(9, 3, seed=5)
@@ -141,7 +155,7 @@ def test_score_matches_confusion_count_oracle():
     w = rng.uniform(0, 1, 36) * (rng.random(36) < 0.4)
     L_hat = laplacian_from_weights(w)
     threshold = 1e-4 * w.max()
-    score = score_recovery(L_hat, pg, edge_threshold=threshold)
+    score = score_recovery(L_hat, pg)
 
     iu, ju = pair_indices(9)
     tp = fp = fn = 0
