@@ -110,6 +110,24 @@ def _check_cells(path, rn: int, row: list[str], width: int) -> None:
         raise ValidationError(f"{path}: row {rn}: expected {width} cells, got {len(row)}")
 
 
+# parser and complaint of each kind of CSV cell
+_CELL_KINDS = {
+    "date": (datetime.date.fromisoformat, "invalid ISO date"),
+    "number": (float, "non-numeric cell"),
+    "integer": (int, "non-integer cell"),
+}
+
+
+def _parse_cell(path, rn: int, cell: str, kind: str, column: str | None = None):
+    """``cell`` of row ``rn`` as a ``kind`` value; a bad cell exits naming file, row and column."""
+    parse, complaint = _CELL_KINDS[kind]
+    try:
+        return parse(cell.strip())
+    except ValueError:
+        where = f"row {rn}" if column is None else f"row {rn}, column {column}"
+        raise ValidationError(f"{path}: {where}: {complaint} {cell!r}") from None
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -148,10 +166,7 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
         if not row or all(not c.strip() for c in row):
             continue
         _check_cells(path, rn, row, len(tickers) + 1)
-        try:
-            d = datetime.date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise ValidationError(f"{path}: row {rn}: invalid ISO date {row[0]!r}") from None
+        d = _parse_cell(path, rn, row[0], "date")
         if previous is not None:
             if d == previous:
                 raise ValidationError(f"{path}: row {rn}: duplicate date {d.isoformat()}")
@@ -166,12 +181,7 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
             text = cell.strip()
             v = None
             if text and text.lower() != "nan":
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {rn}, column {tickers[ci]}: non-numeric cell {cell!r}"
-                    ) from None
+                v = _parse_cell(path, rn, cell, "number", tickers[ci])
                 if not math.isfinite(v):
                     v = None
                 elif v <= 0:
@@ -240,11 +250,11 @@ def read_indicators_csv(path):
     dates, lam2, lmax, cons = [], [], [], []
     for rn, row in enumerate(rows[1:], start=2):
         _check_cells(path, rn, row, 4)
-        dates.append(datetime.date.fromisoformat(row[0]))
-        lam2.append(float(row[1]))
-        lmax.append(float(row[2]))
+        dates.append(_parse_cell(path, rn, row[0], "date"))
+        lam2.append(_parse_cell(path, rn, row[1], "number", "algebraic_connectivity"))
+        lmax.append(_parse_cell(path, rn, row[2], "number", "spectral_radius"))
         if row[3]:
-            cons.append(float(row[3]))
+            cons.append(_parse_cell(path, rn, row[3], "number", "time_consistency"))
     return IndicatorSeries(
         dates=tuple(dates),
         algebraic_connectivity=np.array(lam2),
@@ -537,10 +547,12 @@ def cmd_indicators(r: dict) -> int:
     windows_file = indir / "windows.csv"
     if not windows_file.exists():
         raise ValidationError(f"missing windows.csv in {indir}")
-    rows = _read_rows(windows_file)[1:]
-    for rn, row in enumerate(rows, start=2):
+    end_dates = []
+    for rn, row in enumerate(_read_rows(windows_file)[1:], start=2):
         _check_cells(windows_file, rn, row, 3)
-    end_dates = [datetime.date.fromisoformat(row[2]) for row in rows]
+        _parse_cell(windows_file, rn, row[0], "integer", "window")
+        _parse_cell(windows_file, rn, row[1], "date", "start_date")
+        end_dates.append(_parse_cell(windows_file, rn, row[2], "date", "end_date"))
     if len(end_dates) != len(matrix_files):
         raise ValidationError("windows.csv does not match the stored matrices")
     L_seq = [read_matrix_csv(f)[0] for f in matrix_files]

@@ -87,6 +87,10 @@ _OUTER_TOL = 1e-5  # learn_k_component stops once L moves less (relative)
 # previous round's degree residual, clipped to [inner_tol, _AL_TOL_CAP]
 _AL_TOL_CAP = 1e-3
 _AL_TOL_RATIO = 1e-2
+# learn_k_component's seed L-step ends at the first dual round whose k-subspace
+# projector V V^T moved at most this far (spectral norm) since the round before
+_SEED_SUBSPACE_TOL = 1e-2
+_DEGREE_TOL = 1e-7  # max |deg - 1| of a converged L-step, tighter than the 1e-6 exit contract
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,8 @@ class SolverConfig:
     ``inner_tol`` is the KKT tolerance of every SPG call, relative to the
     start gradient, save the early dual rounds of
     :func:`solve_l_subproblem`, which run looser; its final round runs at
-    ``inner_tol``.  ``alpha`` is the sparsity weight of the MLE penalty, in
+    ``inner_tol``, except in the rough seed step of
+    :func:`learn_k_component`.  ``alpha`` is the sparsity weight of the MLE penalty, in
     the MLE and in every time-varying window, and for the smooth baseline
     the log-degree barrier weight; the k-component solver leaves it out, as
     unit degrees fix sum(w) = p/2 and make it a constant.  ``gamma`` is the
@@ -129,8 +134,10 @@ class SolveReport:
 
     ``objective_trace`` is the SPG trace for the MLE, the smooth baseline
     and each time-varying window; ``tr(LK) - log det(L + N)`` after each
-    dual round for :func:`solve_l_subproblem`; the relaxed objective before
-    and after each L-step for :func:`learn_k_component`.
+    dual round for :func:`solve_l_subproblem`; for :func:`learn_k_component`
+    the relaxed objective after its first full L-step, then before and after
+    every later one (never at its rough seed step's degree-infeasible
+    result).
     """
 
     iterations: int
@@ -405,6 +412,8 @@ def solve_l_subproblem(
     cfg: SolverConfig | None = None,
     w0: np.ndarray | None = None,
     null_basis: np.ndarray | None = None,
+    *,
+    _seed_k: int = 0,
 ):
     """Degree-constrained Laplacian MLE step.
 
@@ -420,8 +429,9 @@ def solve_l_subproblem(
     res_{k-1}))``, where ``res_{k-1}`` is the previous round's max |deg - 1|
     (the first round runs at the cap).  Early rounds, whose multiplier is
     still far off, stop early.  A round ends the solve only if its degree
-    residual is at most 1e-7, its SPG call converged and it ran at exactly
-    ``inner_tol``, so the answer always comes from a full-tolerance round.
+    residual is at most ``_DEGREE_TOL``, its SPG call converged and it ran
+    at exactly ``inner_tol``, so the answer always comes from a
+    full-tolerance round.
 
     ``null_basis`` is the orthonormal basis used for the rank correction of
     the pseudo-determinant.  The default is the constant vector (the null
@@ -432,6 +442,11 @@ def solve_l_subproblem(
     Feasibility is never an issue: uniform weights 1/(p-1) give unit
     degrees.  If no round ends the solve within ``_MAX_OUTER_ITERS`` dual
     rounds the last iterate is returned flagged unconverged.
+
+    ``_seed_k`` (private, for :func:`learn_k_component`'s seed step) also
+    ends the solve, unconverged, at the first round after which the
+    projector onto the ``_seed_k`` smallest eigenvectors of L(w) moved at
+    most ``_SEED_SUBSPACE_TOL`` in spectral norm since the round before.
 
     Returns ``(L, report)``.
     """
@@ -446,7 +461,6 @@ def solve_l_subproblem(
         N = V @ V.T
     c = laplacian_adjoint(Ke)
     objective = _likelihood(p, [c], N)
-    degree_tol = 1e-7  # tighter than the 1e-6 exit contract
     w = w0.copy() if w0 is not None else np.full(m, 1.0 / (p - 1))
     y = np.zeros(p)
     rho = 1.0
@@ -454,6 +468,7 @@ def solve_l_subproblem(
     trace = []
     prev_res = np.inf
     converged = False
+    projector = None
 
     for _ in range(_MAX_OUTER_ITERS):
         fun = _likelihood(p, [c], N, dual=y, rho=rho)
@@ -463,9 +478,14 @@ def solve_l_subproblem(
         r = degrees_from_weights(w, p) - 1.0
         res = float(np.abs(r).max())
         trace.append(objective(w)[0])
-        if res <= degree_tol and conv_inner and tol == cfg.inner_tol:
+        if res <= _DEGREE_TOL and conv_inner and tol == cfg.inner_tol:
             converged = True
             break
+        if _seed_k:
+            V = fan_subspace(laplacian_from_weights(w, p), _seed_k)
+            previous, projector = projector, V @ V.T
+            if previous is not None and np.linalg.norm(projector - previous, 2) <= _SEED_SUBSPACE_TOL:
+                break
         y = y + rho * r
         if res > 0.25 * prev_res:
             rho = min(rho * 10.0, 1e10)
@@ -486,9 +506,23 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
         tr(LS) - log det(L + V V^T) + eta tr(V^T L V)
 
     is nonincreasing across both half-updates (both the eigenvector step and
-    the convex step minimize it exactly in their own block).  The objective
-    trace records it before and after every L-step, where it is the step's
-    likelihood ``tr(LK) - log det(L + V V^T)`` with ``K = S + eta V V^T``.
+    the convex step minimize it exactly in their own block).
+
+    The alternation opens with a rough seed: the degree-constrained step
+    from uniform weights, ended at the first dual round where its k-subspace
+    settles (see ``_seed_k`` of :func:`solve_l_subproblem`).  It serves only
+    to place the first subspace and the first warm start, so it is usually
+    unconverged and degree-infeasible, and the report does not require it
+    to converge; it converges only if every later, full L-step did.  A full
+    step whose result is above its warm start ends the alternation at the
+    warm start, but only if the warm start meets the degree tolerance;
+    otherwise the step's result is kept.
+
+    The objective trace holds the relaxed objective, each value the step's
+    likelihood ``tr(LK) - log det(L + V V^T)`` with ``K = S + eta V V^T``:
+    after the first full L-step, then before and after every later one.
+    Every L-step ends at a degree-feasible point when it converges, so a
+    converged solve's trace reads descent between feasible points only.
 
     Returns ``(L, report)``.
     """
@@ -499,14 +533,15 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     if k >= p:
         raise ValueError(f"component count k={k} must be smaller than p={p}")
 
-    L, rep = solve_l_subproblem(Se, cfg)
-    steps_converged = rep.converged  # the report converges only if every L-step did
+    L, rep = solve_l_subproblem(Se, cfg, _seed_k=k)
     w = weights_from_laplacian(L)
+    w_degree = rep.constraint_residuals["degree"]
 
     trace: list[float] = []
     total_iters = 0
     degenerate = False
     converged = False
+    steps_converged = True  # the report converges only if every full L-step did
 
     for _ in range(_MAX_OUTER_ITERS):
         lam, U = np.linalg.eigh(L)
@@ -515,21 +550,24 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
             degenerate = True  # tie at the cut; any basis attains the Fan minimum
         N = V @ V.T
         K = Se + cfg.eta * N
-        trace.append(_likelihood(p, [laplacian_adjoint(K)], N)(w)[0])
+        before = _likelihood(p, [laplacian_adjoint(K)], N)(w)[0]
+        if trace:  # the trace starts after the first full L-step, not at the seed
+            trace.append(before)
 
         L_new, rep = solve_l_subproblem(K, cfg, w0=w, null_basis=V)
         steps_converged = steps_converged and rep.converged
         total_iters += rep.iterations
         obj_new = float(rep.objective_trace[-1])
-        if obj_new > trace[-1]:
-            # inner-tolerance wobble: the warm start is already (at least) as
-            # good as the returned iterate, so keep it; the alternation has
-            # reached its fixed point
-            trace.append(trace[-1])
+        if obj_new > before and w_degree <= _DEGREE_TOL:
+            # inner-tolerance wobble: the feasible warm start is already (at
+            # least) as good as the returned iterate, so keep it; the
+            # alternation has reached its fixed point
+            trace.append(before)
             converged = True
             break
         trace.append(obj_new)
         w = weights_from_laplacian(L_new)
+        w_degree = rep.constraint_residuals["degree"]
 
         rel = np.linalg.norm(L_new - L) / max(np.linalg.norm(L), 1e-30)
         L = L_new

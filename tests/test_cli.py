@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +373,24 @@ def test_unconverged_l_steps_make_learn_k_unconverged(tmp_path, monkeypatch):
     assert main(["learn", "--input", str(tmp_path / "p.csv"), "--k", "3",
                  "--output-dir", str(out)]) == EXIT_NONCONVERGED
     assert json.loads((out / "meta.json").read_text())["converged"] is False
+
+
+def test_learn_k4_meets_the_benchmark_reference_on_sector_panel_0(tmp_path, monkeypatch):
+    # the kcomp_sectors benchmark's fixture panel f0 (p=60, k=4), through the
+    # CLI and checked as the benchmark checks it: exit 0, converged, a valid
+    # Laplacian of nullity 4, degree residual <= 1e-6, and the objective
+    # within the workload's 1e-6 of the recorded reference
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    wl = workloads.WORKLOADS["kcomp_sectors"]
+    (tmp_path / "prices.csv").write_bytes(workloads.sector_prices(0))
+    codes = [main(step.argv) for step in wl.steps(str(tmp_path))]
+    failures, checked, objective = workloads.check_panel(wl, str(tmp_path), codes)
+    assert failures == [] and checked == 2
+    reference = json.loads((bench / "reference.json").read_text())["kcomp_sectors"]["0"]
+    assert workloads.objective_matches(wl, objective, reference)
 
 
 # --- learn-tv and indicators -----------------------------------------------------
@@ -780,6 +799,21 @@ INPUT_ERRORS = {
     "blank windows line": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
                             "run/windows.csv": "window,start_date,end_date\n\n0,2020-01-01,2020-01-30\n"},
                            "indicators --input {d}/run", ["windows.csv: row 2: expected 3 cells, got 0"]),
+    "bad indicators date": ({"p.csv": _PRICES_3, "ind.csv": _INDICATORS_HEADER + "2020-13-02,1.0,2.0,\n"},
+                            "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                            ["ind.csv: row 2: invalid ISO date '2020-13-02'"]),
+    "bad indicators number": ({"p.csv": _PRICES_3,
+                               "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,\n2020-01-03,1.0,x,0.5\n"},
+                              "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                              ["ind.csv: row 3, column spectral_radius: non-numeric cell 'x'"]),
+    "bad windows date": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                          "run/windows.csv": "window,start_date,end_date\n0,2020-01-01,2020-13-30\n"},
+                         "indicators --input {d}/run",
+                         ["windows.csv: row 2, column end_date: invalid ISO date '2020-13-30'"]),
+    "bad windows number": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                            "run/windows.csv": "window,start_date,end_date\nx,2020-01-01,2020-01-30\n"},
+                           "indicators --input {d}/run",
+                           ["windows.csv: row 2, column window: non-integer cell 'x'"]),
     "missing config file": ({}, "learn --input {d}/p.csv --config {d}/run.cfg",
                             ["config file not found"]),
     "config line without =": ({"run.cfg": "# comment\nscale correlation\n"},

@@ -323,44 +323,131 @@ def test_outer_traces_hold_the_documented_objectives(monkeypatch):
     _assert_close(report.objective_trace,
                   [np.sum(L * K) - np.linalg.slogdet(L + J)[1] for L in rounds])
 
-    # learn_k_component: tr(LS) - log det(L + VV^T) + eta tr(V^T L V) with
-    # each L-step's subspace V, at the L the step starts from and at its result
+
+def _planted_k2_similarity(sample_seed=2):
     pg = random_k_component_graph(10, 2, seed=1, extra_edge_prob=1.0)
-    S = correlation_from_covariance(sample_covariance(sample_gmrf(pg.L_true, 2000, seed=2))).entries
+    return correlation_from_covariance(
+        sample_covariance(sample_gmrf(pg.L_true, 2000, seed=sample_seed))).entries
+
+
+@pytest.mark.parametrize("sample_seed, rejects", [(2, 0), (6, 1)])
+def test_k_component_trace_holds_the_documented_objectives(monkeypatch, sample_seed, rejects):
+    # tr(LS) - log det(L + VV^T) + eta tr(V^T L V) with each full L-step's
+    # subspace V: after the first step, then before and after every later
+    # one, never at the rough seed step's result
+    S = _planted_k2_similarity(sample_seed)
     steps = []
     l_step = solvers.solve_l_subproblem
 
-    def capturing(K, cfg=None, w0=None, null_basis=None):
-        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis)
-        steps.append((null_basis, L))
+    def capturing(K, cfg=None, w0=None, null_basis=None, **private):
+        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis, **private)
+        steps.append((null_basis, L, private))
         return L, rep
 
     monkeypatch.setattr(solvers, "solve_l_subproblem", capturing)
     cfg = SolverConfig(k=2)
     L_out, report = learn_k_component(S, cfg)
-    (V0, L), *outer = steps
-    assert V0 is None and len(outer) > 1
+    (V0, L, seed_args), *outer = steps
+    assert V0 is None and seed_args == {"_seed_k": 2} and len(outer) > 1
+    assert all(not private for _, _, private in outer)
 
     def relaxed(L, V):
         return (np.sum(L * S) - np.linalg.slogdet(L + V @ V.T)[1]
                 + cfg.eta * np.trace(V.T @ L @ V))
 
-    # a step whose result is above its warm start is rejected: the trace
+    def feasible(L):
+        return np.abs(np.diag(L) - 1.0).max() <= solvers._DEGREE_TOL
+
+    # the seed is the first warm start and degree-infeasible, so its value is
+    # left out and the first step is never rejected; a later step whose
+    # result is above its (feasible) warm start is rejected: the trace
     # repeats the warm start's value, the alternation stops and returns the
-    # warm start (on this fixture the last step rises by about 1.5e-8)
+    # warm start
+    assert not feasible(L)
     want, rejected = [], 0
-    for V, L_new in outer:
+    for i, (V, L_new, _) in enumerate(outer):
         assert not rejected  # the alternation stops at a rejected step
         before, after = relaxed(L, V), relaxed(L_new, V)
-        if after > before:
+        if i:
+            want.append(before)
+        if after > before and feasible(L):
             rejected += 1
-            want += [before, before]
+            want.append(before)
         else:
-            want += [before, after]
+            want.append(after)
             L = L_new
-    assert rejected == 1
+    assert rejected == rejects
     _assert_close(report.objective_trace, want)
     assert bitwise_equal(L_out, L)
+
+
+@pytest.mark.parametrize("sample_seed, rounds", [(2, 2), (3, 4)])
+def test_k_component_seed_ends_once_its_subspace_settles(monkeypatch, sample_seed, rounds):
+    # the seed step keeps solve_l_subproblem's dual rounds and ends at the
+    # first round whose k-subspace projector moved <= _SEED_SUBSPACE_TOL
+    # (spectral norm) since the round before, unconverged
+    S = _planted_k2_similarity(sample_seed)
+    seed_rounds, seed_reports = [], []
+    spg, l_step = solvers._spg, solvers.solve_l_subproblem
+
+    def recording(*args, **kwargs):
+        out = spg(*args, **kwargs)
+        if not seed_reports:  # still inside the seed step
+            seed_rounds.append(out[0])
+        return out
+
+    def capturing(*args, **kwargs):
+        L, rep = l_step(*args, **kwargs)
+        seed_reports.append((L, rep))
+        return L, rep
+
+    monkeypatch.setattr(solvers, "_spg", recording)
+    monkeypatch.setattr(solvers, "solve_l_subproblem", capturing)
+    learn_k_component(S, SolverConfig(k=2))
+    L_seed, rep = seed_reports[0]
+    projectors = [V @ V.T for V in (fan_subspace(laplacian_from_weights(w), 2) for w in seed_rounds)]
+    moves = [np.linalg.norm(b - a, 2) for a, b in zip(projectors, projectors[1:])]
+    assert len(seed_rounds) == rounds and not rep.converged
+    assert moves[-1] <= solvers._SEED_SUBSPACE_TOL
+    assert all(move > solvers._SEED_SUBSPACE_TOL for move in moves[:-1])
+    assert bitwise_equal(L_seed, laplacian_from_weights(seed_rounds[-1]))
+    assert rep.constraint_residuals["degree"] > solvers._DEGREE_TOL  # the seed is rough
+
+
+def test_k_component_never_returns_an_infeasible_warm_start(monkeypatch):
+    # a seed scaled off unit degrees: c L* with L* the k-component solution
+    # and c = (p - k) / tr(L* S), which minimizes the relaxed objective along
+    # the ray, so the seed lies below the first full step's result; a guard
+    # that kept any warm start better than the step's result would return
+    # it, with degree residual |c - 1| ~ 0.23
+    S = _planted_k2_similarity()
+    cfg = SolverConfig(k=2)
+    L_star, _ = learn_k_component(S, cfg)
+    c = (10 - 2) / np.sum(L_star * S)
+    seeds, full_steps = [], []
+    l_step = solvers.solve_l_subproblem
+
+    def rough_seed(K, cfg=None, w0=None, null_basis=None, **private):
+        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis, **private)
+        if not private:
+            full_steps.append((null_basis, rep))
+            return L, rep
+        L = c * L_star
+        seeds.append(L)
+        return L, solvers._report(L, rep.iterations, rep.objective_trace, False,
+                                  float(np.abs(np.diag(L) - 1.0).max()))
+
+    monkeypatch.setattr(solvers, "solve_l_subproblem", rough_seed)
+    L, report = learn_k_component(S, cfg)
+    (seed,), (V, first) = seeds, full_steps[0]
+    seed_objective = (np.sum(seed * S) - np.linalg.slogdet(seed + V @ V.T)[1]
+                      + cfg.eta * np.trace(V.T @ seed @ V))
+    assert seed_objective < first.objective_trace[-1]
+    assert np.abs(np.diag(seed) - 1.0).max() > 0.2
+    degree = float(np.abs(np.diag(L) - 1.0).max())
+    assert degree <= 1e-6
+    assert report.constraint_residuals["degree"] == degree
+    assert report.converged and report.nullity == 2
 
 
 def test_dual_rounds_follow_the_tolerance_schedule(monkeypatch):
