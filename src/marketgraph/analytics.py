@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,12 @@ def strategy_s2(
     flags crisis-level co-movement, so the default gate stays out of the
     market then; ``invert=True`` flips the direction.
 
-    Days with no indicator available (warm-up) stay flat.  Raises when the
-    indicator dates cannot be aligned to the return dates at all.
+    Days with no indicator available (warm-up) stay flat.  Raises when
+    ``tau`` is NaN or the indicator dates cannot be aligned to the return
+    dates at all.
     """
+    if math.isnan(tau):
+        raise ValueError("gate threshold tau must not be NaN")
     by_date = dict(zip(indicators.dates, indicators.algebraic_connectivity))
     if len(by_date) != len(indicators.dates):
         raise ValueError("indicator dates contain duplicates")

@@ -5,8 +5,10 @@ graphs + indicators), ``backtest`` (connectivity-gated S1/S2 comparison),
 ``synth`` (synthetic fixtures with planted truth), ``indicators``
 (recompute indicators from stored Laplacians).
 
-Exit codes: 0 success, 2 validation error, 3 solver non-convergence
-(artifacts are still written).
+:func:`main` creates the output directory, and the subcommand writes its
+artifacts there and returns its ``meta.json`` fields; ``main`` writes
+``meta.json`` and maps ``converged`` to the exit code: 0 success, 2
+validation error, 3 solver non-convergence (artifacts are still written).
 """
 
 from __future__ import annotations
@@ -371,9 +373,7 @@ def _similarity(returns: ReturnsPanel, scale: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_learn(r: dict) -> int:
-    outdir = Path(r["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_learn(r: dict, outdir: Path) -> dict:
     returns = _prepared_returns(r)
     cfg = _solver_config(r)
     t0 = time.perf_counter()
@@ -389,7 +389,7 @@ def cmd_learn(r: dict) -> int:
 
     write_matrix_csv(outdir / "laplacian.csv", L, returns.tickers)
     n_edges = write_edges_csv(outdir / "edges.csv", L, returns.tickers)
-    extra = {
+    return {
         "converged": bool(report.converged),
         "iterations": report.iterations,
         "objective": float(report.objective_trace[-1]),
@@ -398,8 +398,6 @@ def cmd_learn(r: dict) -> int:
         "n_edges": n_edges,
         "wall_time_s": wall,
     }
-    write_meta(outdir, "learn", r, extra)
-    return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
 def _rolling_graphs(returns: ReturnsPanel, r: dict):
@@ -418,9 +416,7 @@ def _rolling_graphs(returns: ReturnsPanel, r: dict):
     return L_seq, {"converged": not unconverged, "unconverged_windows": unconverged}, spans
 
 
-def cmd_learn_tv(r: dict) -> int:
-    outdir = Path(r["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_learn_tv(r: dict, outdir: Path) -> dict:
     returns = _prepared_returns(r)
     t0 = time.perf_counter()
     L_seq, convergence, spans = _rolling_graphs(returns, r)
@@ -435,18 +431,10 @@ def cmd_learn_tv(r: dict) -> int:
     )
     indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
     write_indicators_csv(outdir / "indicators.csv", indicators)
-    write_meta(
-        outdir,
-        "learn-tv",
-        r,
-        {"n_windows": len(L_seq), "wall_time_s": wall, **convergence},
-    )
-    return EXIT_OK if convergence["converged"] else EXIT_NONCONVERGED
+    return {"n_windows": len(L_seq), "wall_time_s": wall, **convergence}
 
 
-def cmd_backtest(r: dict) -> int:
-    outdir = Path(r["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_backtest(r: dict, outdir: Path) -> dict:
     panel = ingest_prices(r["input"], ffill=r["ffill"])
     returns = log_returns(panel)  # PnL always uses raw returns
 
@@ -463,18 +451,12 @@ def cmd_backtest(r: dict) -> int:
     pnl = np.column_stack([s1.cumulative_pnl, s2.cumulative_pnl, s2.positions])
     header = ["date", "s1_cum", "s2_cum", "position"]
     _write_rows(outdir / "pnl.csv", header, _dated_rows(returns.dates, pnl))
-    write_meta(
-        outdir,
-        "backtest",
-        r,
-        {
-            **convergence,
-            "final_s1": float(s1.cumulative_pnl[-1]),
-            "final_s2": float(s2.cumulative_pnl[-1]),
-            "days_invested": int(s2.positions.sum()),
-        },
-    )
-    return EXIT_OK if convergence["converged"] else EXIT_NONCONVERGED
+    return {
+        **convergence,
+        "final_s1": float(s1.cumulative_pnl[-1]),
+        "final_s2": float(s2.cumulative_pnl[-1]),
+        "days_invested": int(s2.positions.sum()),
+    }
 
 
 def _parse_regimes(text: str):
@@ -490,9 +472,7 @@ def _parse_regimes(text: str):
     return tuple(regimes)
 
 
-def cmd_synth(r: dict) -> int:
-    outdir = Path(r["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(r: dict, outdir: Path) -> dict:
     p, n, seed = r["assets"], r["days"], r["seed"]
 
     if r["mode"] == "gmrf":
@@ -532,12 +512,10 @@ def cmd_synth(r: dict) -> int:
     price_dates = (returns.dates[0] - datetime.timedelta(days=1),) + returns.dates
     _write_rows(outdir / "prices.csv", header, _dated_rows(price_dates, prices))
 
-    extra.update({"converged": True, "n_price_rows": len(price_dates)})
-    write_meta(outdir, "synth", r, extra)
-    return EXIT_OK
+    return {**extra, "converged": True, "n_price_rows": len(price_dates)}
 
 
-def cmd_indicators(r: dict) -> int:
+def cmd_indicators(r: dict, outdir: Path) -> dict:
     indir = Path(r["input"])
     if not indir.is_dir():
         raise ValidationError(f"--input must be a directory of stored Laplacians: {indir}")
@@ -556,12 +534,8 @@ def cmd_indicators(r: dict) -> int:
     if len(end_dates) != len(matrix_files):
         raise ValidationError("windows.csv does not match the stored matrices")
     L_seq = [read_matrix_csv(f)[0] for f in matrix_files]
-    indicators = compute_indicators(L_seq, end_dates)
-    outdir = Path(r["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_indicators_csv(outdir / "indicators.csv", indicators)
-    write_meta(outdir, "indicators", r, {"converged": True, "n_windows": len(L_seq)})
-    return EXIT_OK
+    write_indicators_csv(outdir / "indicators.csv", compute_indicators(L_seq, end_dates))
+    return {"converged": True, "n_windows": len(L_seq)}
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        sp.add_argument("--input", help="input CSV file (or directory for 'indicators')")
+        if command != "synth":
+            sp.add_argument("--input", help="input CSV file (or directory for 'indicators')")
         sp.add_argument("--output-dir", help="directory for output artifacts")
-        sp.add_argument("--config", help="key = value config file; flags override it")
+        if any(command in commands for _, commands, _ in OPTIONS.values()):
+            sp.add_argument("--config", help="key = value config file; flags override it")
         for key, (default, commands, kw) in OPTIONS.items():
             if command in commands:
                 if isinstance(default, bool):
@@ -601,14 +577,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         resolved = resolve_config(args)
-        if not resolved.get("input") and args.command != "synth":
+        if "input" in args and not args.input:
             raise ValidationError("--input is required")
-        if not resolved.get("output_dir"):
+        if not resolved["output_dir"]:
             raise ValidationError("--output-dir is required")
-        return _COMMANDS[args.command][0](resolved)
+        outdir = Path(resolved["output_dir"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        extra = _COMMANDS[args.command][0](resolved, outdir)
+        write_meta(outdir, args.command, resolved, extra)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK if extra["converged"] else EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

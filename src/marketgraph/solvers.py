@@ -108,7 +108,8 @@ class SolverConfig:
     Frobenius weight of the smooth baseline, ``eta`` the spectral (rank)
     penalty and ``k`` the component count of the k-component solver,
     ``delta`` the temporal coupling weight and ``memory`` the joint-history
-    length of the time-varying solver.
+    length of the time-varying solver.  ``alpha``, ``eta`` and ``delta``
+    must be nonnegative (NaN is rejected too).
     """
 
     inner_tol: float = 1e-7
@@ -126,6 +127,12 @@ class SolverConfig:
             raise ValueError("component count k must be at least 1")
         if self.memory < 1:
             raise ValueError("memory must be at least 1")
+        if not self.alpha >= 0:
+            raise ValueError(f"sparsity weight alpha must be nonnegative, got {self.alpha}")
+        if not self.eta >= 0:
+            raise ValueError(f"rank-penalty weight eta must be nonnegative, got {self.eta}")
+        if not self.delta >= 0:
+            raise ValueError(f"temporal weight delta must be nonnegative, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -513,7 +520,8 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     settles (see ``_seed_k`` of :func:`solve_l_subproblem`).  It serves only
     to place the first subspace and the first warm start, so it is usually
     unconverged and degree-infeasible, and the report does not require it
-    to converge; it converges only if every later, full L-step did.  A full
+    to converge; it converges only if every later, full L-step did.  The
+    report's ``iterations`` still counts the seed's SPG iterations.  A full
     step whose result is above its warm start ends the alternation at the
     warm start, but only if the warm start meets the degree tolerance;
     otherwise the step's result is kept.
@@ -538,7 +546,7 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     w_degree = rep.constraint_residuals["degree"]
 
     trace: list[float] = []
-    total_iters = 0
+    total_iters = rep.iterations  # the seed's SPG iterations count too
     degenerate = False
     converged = False
     steps_converged = True  # the report converges only if every full L-step did
@@ -617,8 +625,6 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
         raise ValueError("sample counts must align with the similarity sequence")
     if any(n < 1 for n in n_seq):
         raise ValueError("window sample counts must be at least 1")
-    if cfg.delta < 0:
-        raise ValueError("temporal weight delta must be nonnegative")
 
     m = pair_count(p)
     J = np.full((p, p), 1.0 / p)

@@ -43,6 +43,13 @@ def _tickers(p: int) -> tuple[str, ...]:
     return tuple(f"A{i:0{width}d}" for i in range(p))
 
 
+def _check_sizes(p: int, n: int) -> None:
+    if p < 1:
+        raise ValueError(f"need at least 1 asset, got p={p}")
+    if n < 1:
+        raise ValueError(f"need at least 1 sample, got n={n}")
+
+
 @dataclass(frozen=True)
 class PlantedGraph:
     """Ground-truth graph: Laplacian, component count and edge support."""
@@ -79,6 +86,8 @@ def random_k_component_graph(
     edges with probability ``extra_edge_prob``; weights are uniform in
     ``weight_range``.
     """
+    if k < 1:
+        raise ValueError(f"component count k must be at least 1, got k={k}")
     if k > p // 2:
         raise ValueError(f"k={k} components need at least 2 nodes each (p={p})")
     lo, hi = weight_range
@@ -139,6 +148,7 @@ def sample_gmrf(L: np.ndarray, n: int, seed: int = 0) -> ReturnsPanel:
     """
     L = np.asarray(L, dtype=float)
     p = L.shape[0]
+    _check_sizes(p, n)
     lam, U = np.linalg.eigh(L)
     tol = zero_eigenvalue_tolerance(lam)
     g = np.where(lam > tol, 1.0 / np.sqrt(np.where(lam > tol, lam, 1.0)), 0.0)
@@ -175,6 +185,7 @@ def simulate_factor_market(
     within each segment the idiosyncratic residuals are equicorrelated at
     the given level.  Defaults to a single segment of length n at 0.2.
     """
+    _check_sizes(p, n)
     if regimes is None:
         regimes = ((n, 0.2),)
     lengths = [int(length) for length, _ in regimes]

@@ -622,8 +622,9 @@ def test_config_values_are_checked_like_flags(tmp_path, gmrf_prices, capsys, lin
     key = line.split(" = ")[0]
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(line + "\n")
-    code = main([OPTIONS[key][1][0], "--input", str(gmrf_prices), "--config", str(cfgfile),
-                 "--output-dir", str(tmp_path / "o")])
+    command = OPTIONS[key][1][0]
+    inputs = [] if command == "synth" else ["--input", str(gmrf_prices)]
+    code = main([command, *inputs, "--config", str(cfgfile), "--output-dir", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
     assert f"config key {key}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -656,14 +657,16 @@ def test_flag_and_config_value_resolve_alike(tmp_path, key):
 
 
 # option strings -> (dest, type, choices, const) of each subcommand's parser
-_FILE_FLAGS = {
+_OUTPUT_FLAGS = {
     ("-h", "--help"): ("help", None, None, None),
-    ("--input",): ("input", None, None, None),
     ("--output-dir",): ("output_dir", None, None, None),
-    ("--config",): ("config", None, None, None),
 }
+_CONFIG_FLAG = {("--config",): ("config", None, None, None)}
+_INPUT_FLAG = {("--input",): ("input", None, None, None)}
 _PRICE_FLAGS = {
-    **_FILE_FLAGS,
+    **_OUTPUT_FLAGS,
+    **_INPUT_FLAG,
+    **_CONFIG_FLAG,
     ("--scale",): ("scale", None, ["covariance", "correlation"], None),
     ("--market",): ("market", None, ["keep", "remove"], None),
     ("--market-column",): ("market_column", None, None, None),
@@ -693,7 +696,8 @@ EXPECTED_FLAGS = {
         ("--invert-gate",): ("invert_gate", None, None, True),
     },
     "synth": {
-        **_FILE_FLAGS,
+        **_OUTPUT_FLAGS,
+        **_CONFIG_FLAG,
         ("--mode",): ("mode", None, ["gmrf", "factor"], None),
         ("--assets",): ("assets", int, None, None),
         ("--days",): ("days", int, None, None),
@@ -706,7 +710,7 @@ EXPECTED_FLAGS = {
         ("--seed",): ("seed", int, None, None),
         ("--density",): ("density", float, None, None),
     },
-    "indicators": _FILE_FLAGS,
+    "indicators": {**_OUTPUT_FLAGS, **_INPUT_FLAG},
 }
 
 
@@ -728,6 +732,8 @@ def test_parser_flags_are_pinned():
     ["learn", "--seed", "9"],
     ["synth", "--tau", "5"],
     ["indicators", "--delta", "3"],
+    ["synth", "--input", "nowhere.csv"],
+    ["indicators", "--config", "run.cfg"],
 ])
 def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -820,6 +826,20 @@ INPUT_ERRORS = {
                               "learn --input {d}/p.csv --config {d}/run.cfg",
                               ["run.cfg: line 2: expected 'key = value'"]),
     "missing --output-dir": ({}, "synth", ["--output-dir is required"]),
+    "negative alpha": ({"p.csv": _PRICES_3}, "learn --input {d}/p.csv --alpha -1",
+                       ["sparsity weight alpha must be nonnegative, got -1.0"]),
+    "nan alpha": ({"p.csv": _PRICES_3}, "learn --input {d}/p.csv --alpha nan",
+                  ["sparsity weight alpha must be nonnegative, got nan"]),
+    "negative tv alpha": ({"p.csv": _PRICES_3}, "learn-tv --input {d}/p.csv --window 2 --alpha -5",
+                          ["sparsity weight alpha must be nonnegative, got -5.0"]),
+    "negative eta": ({"p.csv": _PRICES_3}, "learn --input {d}/p.csv --k 2 --eta -1",
+                     ["rank-penalty weight eta must be nonnegative, got -1.0"]),
+    "nan tau": ({"p.csv": _PRICES_3, "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,\n"},
+                "backtest --input {d}/p.csv --indicators {d}/ind.csv --tau nan",
+                ["gate threshold tau must not be NaN"]),
+    "one price row": ({}, "synth --days 1", ["need at least 1 sample, got n=0"]),
+    "no planted component": ({}, "synth --k-true 0", ["component count k must be at least 1, got k=0"]),
+    "no factor assets": ({}, "synth --mode factor --assets 0", ["need at least 1 asset, got p=0"]),
 }
 
 
@@ -902,3 +922,34 @@ def test_meta_config_holds_the_subcommands_own_options(tmp_path, table_inputs, c
     config = json.loads((tmp_path / "meta.json").read_text())["config"]
     options = {key for key, (_, commands, _) in OPTIONS.items() if command in commands}
     assert set(config) == options | {"input", "output_dir"}
+
+
+@pytest.mark.parametrize("command", ["learn", "learn-tv", "backtest", "indicators"])
+def test_the_output_directory_is_made_before_the_input_is_read(tmp_path, capsys, command):
+    argv = [command, "--input", str(tmp_path / "missing"), "--output-dir", str(tmp_path / "o")]
+    assert main(argv) == EXIT_VALIDATION
+    assert (tmp_path / "o").is_dir()
+
+
+# the top-level meta.json keys of each subcommand and mode, in the order they are written
+_META_HEAD = ["command", "version", "config"]
+META_KEYS = {
+    "learn --input {gmrf}": ["converged", "iterations", "objective", "constraint_residuals",
+                             "nullity", "n_edges", "wall_time_s"],
+    "learn-tv --input {tv}": ["n_windows", "wall_time_s", "converged", "unconverged_windows"],
+    "backtest --input {tv}": ["converged", "unconverged_windows", "final_s1", "final_s2",
+                              "days_invested"],
+    "backtest --input {tv} --indicators {indicators}": ["converged", "final_s1", "final_s2",
+                                                        "days_invested"],
+    "synth": ["planted_nullity", "k_true", "converged", "n_price_rows"],
+    "synth --mode factor": ["regimes", "converged", "n_price_rows"],
+    "indicators --input {run}": ["converged", "n_windows"],
+}
+
+
+@pytest.mark.parametrize("mode", list(META_KEYS))
+def test_meta_keys_keep_their_order(tmp_path, table_inputs, mode):
+    assert {m.split()[0] for m in META_KEYS} == set(EXPECTED_FLAGS)
+    assert main(mode.format(**table_inputs).split() + ["--output-dir", str(tmp_path)]) == EXIT_OK
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert list(meta) == _META_HEAD + META_KEYS[mode]

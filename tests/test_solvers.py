@@ -381,6 +381,25 @@ def test_k_component_trace_holds_the_documented_objectives(monkeypatch, sample_s
     assert bitwise_equal(L_out, L)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda: solve_l_subproblem(random_spd(np.random.default_rng(8), 10)),
+    lambda: learn_k_component(_planted_k2_similarity(), SolverConfig(k=2)),
+], ids=["l_subproblem", "k_component"])
+def test_report_iterations_sum_every_spg_call(monkeypatch, solve):
+    # the k-component solver's rough seed step counts too
+    iterations = []
+    spg = solvers._spg
+
+    def counting(*args, **kwargs):
+        out = spg(*args, **kwargs)
+        iterations.append(out[3])
+        return out
+
+    monkeypatch.setattr(solvers, "_spg", counting)
+    _, report = solve()
+    assert report.iterations == sum(iterations)
+
+
 @pytest.mark.parametrize("sample_seed, rounds", [(2, 2), (3, 4)])
 def test_k_component_seed_ends_once_its_subspace_settles(monkeypatch, sample_seed, rounds):
     # the seed step keeps solve_l_subproblem's dual rounds and ends at the
@@ -657,8 +676,6 @@ def test_tv_validates_inputs():
         learn_time_varying([s.entries for s in seqs], [30], SolverConfig())
     with pytest.raises(ValueError, match="at least 1"):
         learn_time_varying([s.entries for s in seqs], [30, 0], SolverConfig())
-    with pytest.raises(ValueError, match="delta must be nonnegative"):
-        learn_time_varying([s.entries for s in seqs], [30, 30], SolverConfig(delta=-1.0))
 
 
 def test_solver_config_validation():
@@ -668,6 +685,10 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(memory=0)
+    for name in ("alpha", "eta", "delta"):
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be nonnegative, got {value}"):
+                SolverConfig(**{name: value})
 
 
 # --- operator rewrites keep every float ---------------------------------------
