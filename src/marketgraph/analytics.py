@@ -93,7 +93,13 @@ def strategy_s2(
     flags crisis-level co-movement, so the default gate stays out of the
     market then; ``invert=True`` flips the direction.
 
-    Days with no indicator available (warm-up) stay flat.  Raises when
+    Day t reads only the indicator dated exactly on day t-1 (the first day
+    the latest one before it), and a day without one stays flat: the
+    warm-up, and with a rolling stride above 1 every day that does not
+    follow a window end.  On ``synth --mode factor --assets 8 --days 230
+    --regimes 115:0.1,114:0.8 --seed 1``, ``backtest --tau 100`` invests on
+    199 days at stride 1 and on 40 of those 199 at ``--stride 5``; carrying
+    a stale indicator forward would need a policy for its age.  Raises when
     ``tau`` is NaN or the indicator dates cannot be aligned to the return
     dates at all.
     """

@@ -94,17 +94,31 @@ class ValidationError(ValueError):
 # ingestion and file formats
 # ---------------------------------------------------------------------------
 
+# A stored run (learn-tv writes it, indicators reads it): windows.csv, and for
+# each of its rows the matrix file named by the row's window number
+WINDOWS_HEADER = ["window", "start_date", "end_date"]
+MATRIX_FILE = "laplacian_{}.csv"  # .format(f"{window:04d}"); .format("*") matches them all
+INDICATORS_HEADER = ["date", "algebraic_connectivity", "spectral_radius", "time_consistency"]
+
+
+def _matrix_path(run: Path, window: int) -> Path:
+    return run / MATRIX_FILE.format(f"{window:04d}")
+
+
 def _write_rows(path, header, rows) -> None:
     """One CSV file: the header row, then ``rows`` (lists of cells)."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         out = csv.writer(fh)
         out.writerow(header)
         out.writerows(rows)
 
 
 def _read_rows(path) -> list[list[str]]:
-    with Path(path).open(newline="") as fh:
-        return list(csv.reader(fh))
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
 
 
 def _check_cells(path, rn: int, row: list[str], width: int) -> None:
@@ -219,7 +233,20 @@ def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
         raise ValidationError(f"{path}: corrupt matrix CSV") from None
     if M.shape != (len(labels), len(labels)):
         raise ValidationError(f"{path}: matrix shape {M.shape} does not match header")
+    if not np.isfinite(M).all():
+        raise ValidationError(f"{path}: non-finite matrix entry")
     return M, labels
+
+
+def _read_laplacian(path) -> np.ndarray:
+    """A stored matrix, checked to be a Laplacian to 1e-6 (the tolerance of weights_from_laplacian)."""
+    L = read_matrix_csv(path)[0]
+    for flaw, size in (("not symmetric", np.abs(L - L.T).max()),
+                       ("nonzero row sum", np.abs(L.sum(axis=1)).max()),
+                       ("positive off-diagonal entry", (L - np.diag(np.diag(L))).max())):
+        if size > 1e-6:
+            raise ValidationError(f"{path}: not a Laplacian: {flaw} ({size:.3e})")
+    return L
 
 
 def write_edges_csv(path, L: np.ndarray, labels) -> int:
@@ -239,7 +266,7 @@ def write_indicators_csv(path, indicators) -> None:
             indicators.dates, indicators.algebraic_connectivity, indicators.spectral_radius, cons
         )
     )
-    _write_rows(path, ["date", "algebraic_connectivity", "spectral_radius", "time_consistency"], rows)
+    _write_rows(path, INDICATORS_HEADER, rows)
 
 
 def read_indicators_csv(path):
@@ -247,16 +274,16 @@ def read_indicators_csv(path):
     if not path.exists():
         raise ValidationError(f"indicator file not found: {path}")
     rows = _read_rows(path)
-    if not rows or rows[0][:3] != ["date", "algebraic_connectivity", "spectral_radius"]:
+    if not rows or rows[0] != INDICATORS_HEADER:
         raise ValidationError(f"{path}: not an indicators CSV")
     dates, lam2, lmax, cons = [], [], [], []
     for rn, row in enumerate(rows[1:], start=2):
-        _check_cells(path, rn, row, 4)
+        _check_cells(path, rn, row, len(INDICATORS_HEADER))
         dates.append(_parse_cell(path, rn, row[0], "date"))
-        lam2.append(_parse_cell(path, rn, row[1], "number", "algebraic_connectivity"))
-        lmax.append(_parse_cell(path, rn, row[2], "number", "spectral_radius"))
+        lam2.append(_parse_cell(path, rn, row[1], "number", INDICATORS_HEADER[1]))
+        lmax.append(_parse_cell(path, rn, row[2], "number", INDICATORS_HEADER[2]))
         if row[3]:
-            cons.append(_parse_cell(path, rn, row[3], "number", "time_consistency"))
+            cons.append(_parse_cell(path, rn, row[3], "number", INDICATORS_HEADER[3]))
     return IndicatorSeries(
         dates=tuple(dates),
         algebraic_connectivity=np.array(lam2),
@@ -272,7 +299,7 @@ def write_meta(outdir: Path, command: str, resolved: dict, extra: dict) -> None:
         "config": {k: v for k, v in sorted(resolved.items())},
     }
     meta.update(extra)
-    with (outdir / "meta.json").open("w") as fh:
+    with (outdir / "meta.json").open("w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -285,8 +312,12 @@ def _parse_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: unreadable config file: {exc}") from None
     out = {}
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -340,10 +371,13 @@ def _solver_config(r: dict) -> SolverConfig:
     return SolverConfig(**{f.name: r[f.name] for f in dataclasses.fields(SolverConfig) if f.name in r})
 
 
-def _prepared_returns(r: dict, returns: ReturnsPanel | None = None) -> ReturnsPanel:
-    """The log returns of ``r["input"]`` (or the given ones), market removed if asked."""
-    if returns is None:
-        returns = log_returns(ingest_prices(r["input"], ffill=r["ffill"]))
+def _raw_returns(r: dict) -> ReturnsPanel:
+    """The log returns of the price file ``r["input"]``."""
+    return log_returns(ingest_prices(r["input"], ffill=r["ffill"]))
+
+
+def _prepared_returns(r: dict, returns: ReturnsPanel) -> ReturnsPanel:
+    """``returns`` as the solvers see them: market removed if asked."""
     if r["market"] == "remove":
         market = None
         if r["market_column"]:
@@ -374,7 +408,7 @@ def _similarity(returns: ReturnsPanel, scale: str):
 # ---------------------------------------------------------------------------
 
 def cmd_learn(r: dict, outdir: Path) -> dict:
-    returns = _prepared_returns(r)
+    returns = _prepared_returns(r, _raw_returns(r))
     cfg = _solver_config(r)
     t0 = time.perf_counter()
 
@@ -417,16 +451,16 @@ def _rolling_graphs(returns: ReturnsPanel, r: dict):
 
 
 def cmd_learn_tv(r: dict, outdir: Path) -> dict:
-    returns = _prepared_returns(r)
+    returns = _prepared_returns(r, _raw_returns(r))
     t0 = time.perf_counter()
     L_seq, convergence, spans = _rolling_graphs(returns, r)
     wall = time.perf_counter() - t0
 
     for t, L in enumerate(L_seq):
-        write_matrix_csv(outdir / f"laplacian_{t:04d}.csv", L, returns.tickers)
+        write_matrix_csv(_matrix_path(outdir, t), L, returns.tickers)
     _write_rows(
         outdir / "windows.csv",
-        ["window", "start_date", "end_date"],
+        WINDOWS_HEADER,
         ([t, d0.isoformat(), d1.isoformat()] for t, (d0, d1) in enumerate(spans)),
     )
     indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
@@ -435,8 +469,7 @@ def cmd_learn_tv(r: dict, outdir: Path) -> dict:
 
 
 def cmd_backtest(r: dict, outdir: Path) -> dict:
-    panel = ingest_prices(r["input"], ffill=r["ffill"])
-    returns = log_returns(panel)  # PnL always uses raw returns
+    returns = _raw_returns(r)  # PnL always uses raw returns
 
     if r["indicators"]:
         indicators = read_indicators_csv(r["indicators"])
@@ -519,21 +552,26 @@ def cmd_indicators(r: dict, outdir: Path) -> dict:
     indir = Path(r["input"])
     if not indir.is_dir():
         raise ValidationError(f"--input must be a directory of stored Laplacians: {indir}")
-    matrix_files = sorted(indir.glob("laplacian_*.csv"))
-    if not matrix_files:
-        raise ValidationError(f"no laplacian_*.csv files in {indir}")
+    stored = {f.name for f in indir.glob(MATRIX_FILE.format("*"))}
+    if not stored:
+        raise ValidationError(f"no {MATRIX_FILE.format('*')} files in {indir}")
     windows_file = indir / "windows.csv"
     if not windows_file.exists():
         raise ValidationError(f"missing windows.csv in {indir}")
-    end_dates = []
-    for rn, row in enumerate(_read_rows(windows_file)[1:], start=2):
-        _check_cells(windows_file, rn, row, 3)
-        _parse_cell(windows_file, rn, row[0], "integer", "window")
-        _parse_cell(windows_file, rn, row[1], "date", "start_date")
-        end_dates.append(_parse_cell(windows_file, rn, row[2], "date", "end_date"))
-    if len(end_dates) != len(matrix_files):
+    rows = _read_rows(windows_file)
+    if not rows or rows[0] != WINDOWS_HEADER:
+        raise ValidationError(f"{windows_file}: header must be {','.join(WINDOWS_HEADER)}")
+    matrix_files, end_dates = [], []
+    for rn, row in enumerate(rows[1:], start=2):
+        _check_cells(windows_file, rn, row, len(WINDOWS_HEADER))
+        window, _, end = (_parse_cell(windows_file, rn, cell, kind, column)
+                          for cell, kind, column in zip(row, ("integer", "date", "date"), WINDOWS_HEADER))
+        matrix_files.append(_matrix_path(indir, window))
+        end_dates.append(end)
+    names = [f.name for f in matrix_files]
+    if len(set(names)) != len(names) or set(names) != stored:
         raise ValidationError("windows.csv does not match the stored matrices")
-    L_seq = [read_matrix_csv(f)[0] for f in matrix_files]
+    L_seq = [_read_laplacian(f) for f in matrix_files]
     write_indicators_csv(outdir / "indicators.csv", compute_indicators(L_seq, end_dates))
     return {"converged": True, "n_windows": len(L_seq)}
 

@@ -338,24 +338,14 @@ def learn_connected_mle(S, cfg: SolverConfig | None = None):
     """Penalized maximum-likelihood Laplacian estimation.
 
     Minimizes ``tr(LS) - log gdet(L) + alpha * ||L||_off,1`` over the set
-    of combinatorial Laplacians.  The pseudo-determinant surrogate keeps
-    iterates connected; when the minimizer sits at the boundary of
-    disconnection the result is returned with ``report.connected=False``
+    of combinatorial Laplacians: a lone :func:`learn_time_varying` window.
+    The pseudo-determinant surrogate keeps iterates connected; at the
+    boundary of disconnection the result comes with ``report.connected=False``
     and a :class:`DisconnectedGraphWarning`, not an error.
 
     Returns ``(L, report)``.
     """
-    cfg = cfg or SolverConfig()
-    Se = _entries(S)
-    p = _check_similarity(Se)
-    m = pair_count(p)
-    # ||L||_off,1 = 2 sum(w) for nonnegative weights: a linear term
-    c = laplacian_adjoint(Se) + 2.0 * cfg.alpha
-    fun = _likelihood(p, [c], np.full((p, p), 1.0 / p))
-    w0 = np.full(m, 1.0 / (p - 1))
-    w, f, g, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
-    L = laplacian_from_weights(w, p)
-    report = _report(L, iters, trace, conv)
+    (L,), (report,) = learn_time_varying([S], [1], cfg)
     if not report.connected:
         warnings.warn(
             f"MLE solution has {report.nullity} components", DisconnectedGraphWarning,

@@ -93,6 +93,8 @@ def random_k_component_graph(
     lo, hi = weight_range
     if not (0 < lo <= hi):
         raise ValueError("weight_range must be a positive interval")
+    if not 0.0 <= extra_edge_prob <= 1.0:
+        raise ValueError(f"extra_edge_prob must be a probability in [0, 1], got {extra_edge_prob}")
     if sizes is None:
         base = p // k
         sizes = tuple(base + (1 if i < p % k else 0) for i in range(k))
@@ -194,6 +196,8 @@ def simulate_factor_market(
         raise ValueError(f"regime lengths sum to {sum(lengths)}, expected n={n}")
     if any(not 0.0 <= c < 1.0 for c in levels):
         raise ValueError("residual correlation levels must lie in [0, 1)")
+    if not beta_range[0] <= beta_range[1]:
+        raise ValueError(f"beta_range must run from low to high, got {tuple(beta_range)}")
 
     rng = np.random.default_rng(seed)
     beta = rng.uniform(beta_range[0], beta_range[1], size=p)

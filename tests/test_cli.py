@@ -469,6 +469,43 @@ def test_indicators_single_matrix(tmp_path, tv_run):
     assert len(rows) == 2 and rows[1][3] == ""
 
 
+def test_indicators_read_each_window_by_its_number(tmp_path):
+    # laplacian_10000.csv sorts between laplacian_1000.csv and laplacian_1001.csv,
+    # so a sorted file listing would give row 1001 the matrix of window 10000.
+    # Window t holds the 2-node Laplacian of weight t + 1, so its own algebraic
+    # connectivity and spectral radius are 2(t + 1), and each step moves L by 4
+    # in squared Frobenius norm.
+    run, n = tmp_path / "run", 10_001
+    run.mkdir()
+    start = datetime.date(2000, 1, 1)
+    ends = [(start + datetime.timedelta(days=t)).isoformat() for t in range(n)]
+    for t in range(n):
+        w = t + 1
+        (run / f"laplacian_{t:04d}.csv").write_text(f"A,B\n{w},{-w}\n{-w},{w}\n")
+    write_csv(run / "windows.csv", [["window", "start_date", "end_date"]]
+              + [[t, end, end] for t, end in enumerate(ends)])
+    out = tmp_path / "ind"
+    assert main(["indicators", "--input", str(run), "--output-dir", str(out)]) == EXIT_OK
+    rows = read_csv(out / "indicators.csv")[1:]
+    assert [row[0] for row in rows] == ends
+    lam2 = np.array([float(row[1]) for row in rows])
+    lmax = np.array([float(row[2]) for row in rows])
+    expected = 2.0 * np.arange(1, n + 1)
+    assert np.allclose(lam2, expected, rtol=1e-12, atol=0)
+    assert np.allclose(lmax, expected, rtol=1e-12, atol=0)
+    assert np.allclose([float(row[3]) for row in rows[1:]], 4.0, rtol=1e-9, atol=0)
+
+
+def test_an_extra_stored_matrix_is_an_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    for t in range(2):
+        (run / f"laplacian_{t:04d}.csv").write_text("A,B\n1,-1\n-1,1\n")
+    (run / "windows.csv").write_text("window,start_date,end_date\n0,2020-01-01,2020-01-30\n")
+    assert main(["indicators", "--input", str(run), "--output-dir", str(tmp_path / "o")]) == EXIT_VALIDATION
+    assert "windows.csv does not match the stored matrices" in capsys.readouterr().err
+
+
 # --- backtest -----------------------------------------------------------------------
 
 def test_backtest_with_stored_indicators(tmp_path, tv_run):
@@ -529,6 +566,21 @@ def test_rolling_window_flags_are_validated(tmp_path, tv_run, capsys, command, f
                  "--output-dir", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+def test_backtest_at_stride_5_invests_only_after_a_window_end(tmp_path, tv_run):
+    # the S2 gate reads the indicator dated on the previous trading day, and at
+    # stride 5 only every fifth day ends a window: the other days stay flat
+    data, _ = tv_run
+    out = tmp_path / "bt5"
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--stride", "5", "--delta", "20",
+                 "--tau", "inf", "--output-dir", str(out)]) == EXIT_OK
+    ends = {row[0] for row in read_csv(out / "indicators.csv")[1:]}
+    rows = read_csv(out / "pnl.csv")[1:]
+    invested = [t for t, row in enumerate(rows) if float(row[3]) == 1.0]
+    assert invested == [t for t in range(1, len(rows)) if rows[t - 1][0] in ends]
+    assert len(invested) == len(ends) == 8
+    assert json.loads((out / "meta.json").read_text())["days_invested"] == 8
 
 
 def test_backtest_s1_column_matches_running_mean_return(tmp_path, tv_run):
@@ -840,6 +892,49 @@ INPUT_ERRORS = {
     "one price row": ({}, "synth --days 1", ["need at least 1 sample, got n=0"]),
     "no planted component": ({}, "synth --k-true 0", ["component count k must be at least 1, got k=0"]),
     "no factor assets": ({}, "synth --mode factor --assets 0", ["need at least 1 asset, got p=0"]),
+    "asymmetric stored matrix": (
+        {"run/laplacian_0000.csv": "A,B,C\n2,-1,-1\n-5,1,0\n-1,0,1\n", "run/windows.csv": _WINDOWS_1},
+        "indicators --input {d}/run", ["laplacian_0000.csv: not a Laplacian: not symmetric"]),
+    "stored matrix with a nonzero row sum": (
+        {"run/laplacian_0000.csv": "A,B,C\n2,-1,-1\n-1,5,0\n-1,0,1\n", "run/windows.csv": _WINDOWS_1},
+        "indicators --input {d}/run", ["laplacian_0000.csv: not a Laplacian: nonzero row sum"]),
+    "stored matrix with a positive off-diagonal entry": (
+        {"run/laplacian_0000.csv": "A,B,C\n0,1,-1\n1,0,-1\n-1,-1,2\n", "run/windows.csv": _WINDOWS_1},
+        "indicators --input {d}/run", ["laplacian_0000.csv: not a Laplacian: positive off-diagonal entry"]),
+    "non-finite stored matrix": ({"run/laplacian_0000.csv": "A,B\nnan,nan\nnan,nan\n",
+                                  "run/windows.csv": _WINDOWS_1},
+                                 "indicators --input {d}/run", ["laplacian_0000.csv: non-finite matrix entry"]),
+    "windows.csv header": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                            "run/windows.csv": "t,start_date,end_date\n0,2020-01-01,2020-01-30\n"},
+                           "indicators --input {d}/run",
+                           ["windows.csv: header must be window,start_date,end_date"]),
+    "window without its matrix": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                                   "run/windows.csv": "window,start_date,end_date\n5,2020-01-01,2020-01-30\n"},
+                                  "indicators --input {d}/run", ["windows.csv does not match the stored matrices"]),
+    "window listed twice": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                             "run/laplacian_0001.csv": "A,B\n1,-1\n-1,1\n",
+                             "run/windows.csv": _WINDOWS_1 + "0,2020-01-02,2020-01-31\n"},
+                            "indicators --input {d}/run", ["windows.csv does not match the stored matrices"]),
+    "indicators header": ({"p.csv": _PRICES_3, "ind.csv": "date,algebraic_connectivity,spectral_radius,tc\n"
+                                                          "2020-01-02,1.0,2.0,\n"},
+                          "backtest --input {d}/p.csv --indicators {d}/ind.csv", ["not an indicators CSV"]),
+    "over-long CSV cell": ({"p.csv": "date,A\n2020-01-01," + "1" * 131_073 + "\n2020-01-02,2\n"},
+                           "learn --input {d}/p.csv",
+                           ["p.csv: unreadable CSV: field larger than field limit (131072)"]),
+    "price file not UTF-8": ({"p.csv": b"date,A\n2020-01-01,1\n2020-01-02,\xff\n"}, "learn --input {d}/p.csv",
+                             ["p.csv: unreadable CSV: 'utf-8' codec can't decode byte 0xff in position 31"]),
+    "windows.csv not UTF-8": ({"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n",
+                               "run/windows.csv": b"window,start_date,end_date\n0,2020-01-01,\xff\n"},
+                              "indicators --input {d}/run", ["windows.csv: unreadable CSV: 'utf-8' codec"]),
+    "config file not UTF-8": ({"run.cfg": b"# \xff\nscale = correlation\n"},
+                              "learn --input {d}/p.csv --config {d}/run.cfg",
+                              ["run.cfg: unreadable config file: 'utf-8' codec can't decode byte 0xff"]),
+    "density above 1": ({}, "synth --density 5",
+                        ["extra_edge_prob must be a probability in [0, 1], got 5.0"]),
+    "negative density": ({}, "synth --density -1",
+                         ["extra_edge_prob must be a probability in [0, 1], got -1.0"]),
+    "reversed beta range": ({}, "synth --mode factor --beta-min 2 --beta-max 1",
+                            ["beta_range must run from low to high, got (2.0, 1.0)"]),
 }
 
 
@@ -848,7 +943,10 @@ def test_input_errors_exit_2_with_their_message(tmp_path, capsys, case):
     files, command, messages = INPUT_ERRORS[case]
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):  # a file that is not UTF-8
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     argv = command.format(d=tmp_path).split()
     if case != "missing --output-dir":
         argv += ["--output-dir", str(tmp_path / "out")]
