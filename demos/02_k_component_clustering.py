@@ -11,7 +11,7 @@ to a cluster; a pure rank constraint would happily isolate nodes.
 import numpy as np
 
 from marketgraph import SolverConfig, SimilarityMatrix, learn_k_component
-from marketgraph.laplacian import pair_indices
+from marketgraph.laplacian import num_components, pair_indices
 
 
 def sector_returns(p_per_sector=5, sectors=3, n=750, seed=7):
@@ -37,7 +37,7 @@ def main():
     S = SimilarityMatrix(entries=(C + C.T) / 2.0, kind="correlation")
 
     L, report = learn_k_component(S, SolverConfig(k=3, eta=10.0))
-    print(f"converged: {report.converged}   components: {report.nullity}"
+    print(f"converged: {report.converged}   components: {num_components(L)}"
           f"   max |degree-1|: {report.constraint_residuals['degree']:.1e}")
 
     # connected components of the estimated graph = recovered clusters

@@ -153,12 +153,21 @@ def _dated_rows(dates, values):
     return ([d.isoformat(), *map(_fmt, row)] for d, row in zip(dates, values))
 
 
+def _price(path, rn: int, cell: str, ticker: str) -> float:
+    """One price cell, NaN when blank; a bad or non-positive price exits naming its row and column."""
+    v = _parse_cell(path, rn, cell, "number", ticker) if cell.strip() else math.nan
+    if -math.inf < v <= 0:
+        raise ValidationError(f"{path}: row {rn}, column {ticker}: non-positive price {v}")
+    return v
+
+
 def ingest_prices(path, ffill: bool = False) -> PricePanel:
     """Read and validate a price CSV (header ``date,<ticker>,...``).
 
-    Rows with missing cells are dropped, or forward-filled when ``ffill``
-    is set.  Duplicate dates, non-monotone dates and non-numeric cells are
-    errors reported with their row number.
+    Rows with missing (blank or non-finite) cells are dropped, or
+    forward-filled when ``ffill`` is set.  A repeated ticker is an error
+    naming it; duplicate dates, non-monotone dates and non-numeric or
+    non-positive cells are errors reported with their row number.
     """
     path = Path(path)
     if not path.exists():
@@ -172,11 +181,14 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     tickers = tuple(header[1:])
     if not tickers:
         raise ValidationError(f"{path}: no ticker columns")
+    if len(set(tickers)) < len(tickers):
+        repeated = next(t for i, t in enumerate(tickers) if t in tickers[:i])
+        raise ValidationError(f"{path}: repeated ticker {repeated!r} in the header")
 
     dates: list[datetime.date] = []
-    kept: list[list[float]] = []
+    kept: list[np.ndarray] = []
     previous = None
-    last: list[float | None] = [None] * len(tickers)
+    last = np.full(len(tickers), np.nan)
     dropped = 0
     for rn, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
@@ -192,25 +204,21 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
                     f"{previous.isoformat()})"
                 )
         previous = d
-        cells: list[float | None] = []
-        for ci, cell in enumerate(row[1:]):
-            text = cell.strip()
-            v = None
-            if text and text.lower() != "nan":
-                v = _parse_cell(path, rn, cell, "number", tickers[ci])
-                if not math.isfinite(v):
-                    v = None
-                elif v <= 0:
-                    raise ValidationError(
-                        f"{path}: row {rn}, column {tickers[ci]}: non-positive price {v}"
-                    )
-            cells.append(last[ci] if v is None and ffill else v)
-        if any(c is None for c in cells):
+        try:
+            values = np.array([float(c) if c.strip() else math.nan for c in row[1:]])
+        except ValueError:
+            values = None
+        if values is None or ((values <= 0) & (values > -math.inf)).any():
+            # a bad cell: the per-cell parse words the error of the row's first one
+            values = np.array([_price(path, rn, c, t) for c, t in zip(row[1:], tickers)])
+        if ffill:
+            values = np.where(np.isfinite(values), values, last)
+        if not np.isfinite(values).all():
             dropped += 1
             continue
-        last = cells
+        last = values
         dates.append(d)
-        kept.append(cells)  # type: ignore[arg-type]
+        kept.append(values)
     if dropped:
         print(f"note: dropped {dropped} row(s) with missing values", file=sys.stderr)
     if len(kept) < 2:
@@ -238,15 +246,14 @@ def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     return M, labels
 
 
-def _read_laplacian(path) -> np.ndarray:
-    """A stored matrix, checked to be a Laplacian to 1e-6 (the tolerance of weights_from_laplacian)."""
-    L = read_matrix_csv(path)[0]
-    for flaw, size in (("not symmetric", np.abs(L - L.T).max()),
-                       ("nonzero row sum", np.abs(L.sum(axis=1)).max()),
-                       ("positive off-diagonal entry", (L - np.diag(np.diag(L))).max())):
-        if size > 1e-6:
-            raise ValidationError(f"{path}: not a Laplacian: {flaw} ({size:.3e})")
-    return L
+def _read_laplacian(path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A stored matrix and its labels, checked by the Laplacian rule of weights_from_laplacian."""
+    L, labels = read_matrix_csv(path)
+    try:
+        weights_from_laplacian(L)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return L, labels
 
 
 def write_edges_csv(path, L: np.ndarray, labels) -> int:
@@ -428,7 +435,7 @@ def cmd_learn(r: dict, outdir: Path) -> dict:
         "iterations": report.iterations,
         "objective": float(report.objective_trace[-1]),
         "constraint_residuals": dict(report.constraint_residuals),
-        "nullity": report.nullity,
+        "nullity": num_components(L),
         "n_edges": n_edges,
         "wall_time_s": wall,
     }
@@ -571,7 +578,11 @@ def cmd_indicators(r: dict, outdir: Path) -> dict:
     names = [f.name for f in matrix_files]
     if len(set(names)) != len(names) or set(names) != stored:
         raise ValidationError("windows.csv does not match the stored matrices")
-    L_seq = [_read_laplacian(f) for f in matrix_files]
+    L_seq, headers = zip(*map(_read_laplacian, matrix_files))
+    for f, labels in zip(matrix_files, headers):
+        if labels != headers[0]:
+            raise ValidationError(f"{f}: header {','.join(labels)} differs from the first window's "
+                                  f"{','.join(headers[0])}")
     write_indicators_csv(outdir / "indicators.csv", compute_indicators(L_seq, end_dates))
     return {"converged": True, "n_windows": len(L_seq)}
 

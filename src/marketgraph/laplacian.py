@@ -118,21 +118,20 @@ def laplacian_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
 def weights_from_laplacian(L: np.ndarray) -> np.ndarray:
     """The weights max(-L_ij, 0) of a Laplacian: the one reading of weights off a matrix.
 
-    Rejects matrices whose symmetry or row sums deviate by more than 1e-6.
-    Tiny positive off-diagonal entries (solver round-off, <= 1e-12) are
-    clamped to zero weight.
+    The one Laplacian rule: rejects a matrix that is not symmetric, or has a
+    nonzero row sum or a positive off-diagonal entry, each beyond 1e-6.
+    Smaller positive off-diagonal entries (round-off) get zero weight.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("Laplacian must be a square matrix")
-    asym = np.abs(L - L.T).max()
-    if asym > 1e-6:
-        raise ValueError(f"matrix is not symmetric: max |L - L^T| = {asym:.3e} > 1.0e-06")
-    row = np.abs(L.sum(axis=1)).max()
-    if row > 1e-6:
-        raise ValueError(f"matrix has nonzero row sums: max |L 1| = {row:.3e} > 1.0e-06")
-    w = -L[pair_indices(L.shape[0])]
-    return np.maximum(w, 0.0)
+    off = L[pair_indices(L.shape[0])]
+    for flaw, size in (("not symmetric: max |L - L^T|", np.abs(L - L.T).max()),
+                       ("nonzero row sums: max |L 1|", np.abs(L.sum(axis=1)).max()),
+                       ("positive off-diagonal entry: max L_ij", off.max(initial=0.0))):
+        if size > 1e-6:
+            raise ValueError(f"not a Laplacian: {flaw} = {size:.3e} > 1.0e-06")
+    return np.maximum(-off, 0.0)
 
 
 def edge_indices(w: np.ndarray) -> np.ndarray:

@@ -137,8 +137,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics attached to every solve.
+    """What a solve measured; graph facts such as the component count are read off L.
 
+    ``constraint_residuals`` holds max |L 1| (``row_sum``) and, for the
+    degree-constrained solvers, max |deg - 1| (``degree``).
     ``objective_trace`` is the SPG trace for the MLE, the smooth baseline
     and each time-varying window; ``tr(LK) - log det(L + N)`` after each
     dual round for :func:`solve_l_subproblem`; for :func:`learn_k_component`
@@ -151,8 +153,6 @@ class SolveReport:
     objective_trace: np.ndarray
     constraint_residuals: dict[str, float]
     converged: bool
-    connected: bool
-    nullity: int
     eigengap_degenerate: bool
 
 
@@ -328,10 +328,7 @@ def _report(L, iterations, trace, converged, degree=None, degenerate=False) -> S
     residuals = {"row_sum": float(np.abs(L.sum(axis=1)).max())}
     if degree is not None:
         residuals["degree"] = degree
-    residuals["sign"] = 0.0
-    nullity = num_components(L)
-    return SolveReport(iterations, np.asarray(trace), residuals, converged,
-                       nullity == 1, nullity, degenerate)
+    return SolveReport(iterations, np.asarray(trace), residuals, converged, degenerate)
 
 
 def learn_connected_mle(S, cfg: SolverConfig | None = None):
@@ -340,17 +337,14 @@ def learn_connected_mle(S, cfg: SolverConfig | None = None):
     Minimizes ``tr(LS) - log gdet(L) + alpha * ||L||_off,1`` over the set
     of combinatorial Laplacians: a lone :func:`learn_time_varying` window.
     The pseudo-determinant surrogate keeps iterates connected; at the
-    boundary of disconnection the result comes with ``report.connected=False``
-    and a :class:`DisconnectedGraphWarning`, not an error.
+    boundary of disconnection the result comes with a
+    :class:`DisconnectedGraphWarning`, not an error.
 
     Returns ``(L, report)``.
     """
     (L,), (report,) = learn_time_varying([S], [1], cfg)
-    if not report.connected:
-        warnings.warn(
-            f"MLE solution has {report.nullity} components", DisconnectedGraphWarning,
-            stacklevel=2,
-        )
+    if (components := num_components(L)) > 1:
+        warnings.warn(f"MLE solution has {components} components", DisconnectedGraphWarning, stacklevel=2)
     return L, report
 
 

@@ -98,6 +98,22 @@ def test_ingest_non_numeric_cell_reports_row_and_column(tmp_path):
         ingest_prices(f)
 
 
+def test_ingest_words_the_first_bad_cell_of_a_row(tmp_path):
+    # the row's cells are checked left to right, whichever kind of fault comes first
+    f = tmp_path / "p.csv"
+    for cells, message in ((["0", "x"], "column AAA: non-positive price 0.0"),
+                           (["x", "-1"], "column AAA: non-numeric cell 'x'"),
+                           (["", "-1"], "column BBB: non-positive price -1.0"),
+                           ([" nan", "-inf"], None)):
+        write_csv(f, [["date", "AAA", "BBB"], ["2020-01-01", "10", "20"], ["2020-01-02", *cells],
+                      ["2020-01-03", "11", "21"]])
+        if message is None:  # non-finite cells are missing, not bad
+            assert ingest_prices(f).prices.shape == (2, 2)
+        else:
+            with pytest.raises(ValueError, match=f"row 3, {message}"):
+                ingest_prices(f)
+
+
 def test_ingest_checks_dates_against_dropped_rows_too(tmp_path, capsys):
     f = tmp_path / "p.csv"
     write_csv(f, [["date", "AAA"],
@@ -233,7 +249,7 @@ def test_learn_smooth_method(tmp_path, gmrf_prices):
     # the smooth baseline reports like every other solver
     meta = json.loads((out / "meta.json").read_text())
     assert meta["converged"] is True and meta["iterations"] > 0
-    assert np.isfinite(meta["objective"]) and meta["constraint_residuals"]["sign"] == 0.0
+    assert np.isfinite(meta["objective"]) and L[~np.eye(len(L), dtype=bool)].max() <= 0.0
 
 
 def test_learn_smooth_requires_positive_alpha(tmp_path, gmrf_prices, capsys):
@@ -313,8 +329,6 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
             objective_trace=np.array([0.0]),
             constraint_residuals={},
             converged=False,
-            connected=False,
-            nullity=p,
             eigengap_degenerate=False,
         )
 
@@ -935,6 +949,12 @@ INPUT_ERRORS = {
                          ["extra_edge_prob must be a probability in [0, 1], got -1.0"]),
     "reversed beta range": ({}, "synth --mode factor --beta-min 2 --beta-max 1",
                             ["beta_range must run from low to high, got (2.0, 1.0)"]),
+    "repeated ticker": ({"p.csv": "date,A,B,A\n2020-01-01,1,2,3\n2020-01-02,2,3,4\n2020-01-03,3,1,2\n"},
+                        "learn --input {d}/p.csv", ["p.csv: repeated ticker 'A' in the header"]),
+    "stored matrices with different headers": (
+        {"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n", "run/laplacian_0001.csv": "A,C\n1,-1\n-1,1\n",
+         "run/windows.csv": _WINDOWS_1 + "1,2020-01-02,2020-01-31\n"},
+        "indicators --input {d}/run", ["laplacian_0001.csv: header A,C differs from the first window's A,B"]),
 }
 
 

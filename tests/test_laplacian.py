@@ -17,6 +17,7 @@ from marketgraph.laplacian import (
     validate_laplacian,
     weights_from_laplacian,
 )
+from marketgraph.synthetic import random_k_component_graph, score_recovery
 import reference_ops as ref
 from reference_ops import bitwise_equal
 
@@ -90,6 +91,23 @@ def test_weights_from_laplacian_clamps_roundoff():
     L[0, 2] = L[2, 0] = 5e-13  # tiny positive off-diagonal from solver round-off
     w = weights_from_laplacian(L)
     assert w[1] == 0.0
+
+
+def test_a_positive_off_diagonal_entry_is_not_a_laplacian():
+    # weights_from_laplacian is the one Laplacian rule, and score_recovery reads through it
+    L = laplacian_from_weights(np.array([1.0, 0.0, 2.0]))
+    for entry, rejected in ((5e-7, False), (1e-3, True)):
+        M = L.copy()
+        M[0, 2] = M[2, 0] = entry
+        M[0, 0] -= entry
+        M[2, 2] -= entry
+        if not rejected:  # round-off below 1e-6 is clamped
+            assert weights_from_laplacian(M)[1] == 0.0
+            continue
+        with pytest.raises(ValueError, match="not a Laplacian: positive off-diagonal entry"):
+            weights_from_laplacian(M)
+        with pytest.raises(ValueError, match="positive off-diagonal entry"):
+            score_recovery(M, random_k_component_graph(3, 1, seed=0))
 
 
 def test_construction_properties():

@@ -101,8 +101,7 @@ def test_mle_flags_disconnected_solution():
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         L, report = learn_connected_mle(S)
-    assert report.connected is False
-    assert report.nullity == 2
+    assert num_components(L) == 2  # not connected
     assert any(isinstance(c.message, DisconnectedGraphWarning) for c in caught)
     validate_laplacian(L)
 
@@ -246,7 +245,6 @@ def test_subproblem_exit_contract():
         validate_laplacian(L)
         assert np.abs(np.diag(L) - 1.0).max() <= 1e-6
         assert L[pair_indices(5)].max() <= 0.0  # sign constraints exact
-        assert report.constraint_residuals["sign"] == 0.0
 
 
 # --- learn_k_component ------------------------------------------------------
@@ -261,7 +259,7 @@ def test_k1_reduces_to_connected_subproblem():
     S = random_spd(rng, 5)
     cfg = SolverConfig(k=1, eta=10.0)
     L, report = learn_k_component(S, cfg)
-    assert report.connected and report.nullity == 1
+    assert num_components(L) == 1
     # the constant vector spans the null space, so the eta term is flat and
     # the alternation settles immediately
     assert len(report.objective_trace) <= 4
@@ -276,7 +274,6 @@ def test_k_component_structure_on_planted_data():
     S = correlation_from_covariance(sample_covariance(panel))
     L, report = learn_k_component(S, SolverConfig(k=2))
     validate_laplacian(L)
-    assert report.nullity == 2
     assert num_components(L) == 2
     assert np.abs(np.diag(L) - 1.0).max() <= 1e-6  # no isolated nodes
     # note: support F-score against the planted graph is exercised (and
@@ -466,7 +463,7 @@ def test_k_component_never_returns_an_infeasible_warm_start(monkeypatch):
     degree = float(np.abs(np.diag(L) - 1.0).max())
     assert degree <= 1e-6
     assert report.constraint_residuals["degree"] == degree
-    assert report.converged and report.nullity == 2
+    assert report.converged and num_components(L) == 2
 
 
 def test_dual_rounds_follow_the_tolerance_schedule(monkeypatch):
@@ -544,6 +541,27 @@ def test_one_window_tv_is_the_mle_bitwise(delta):
             L_mle, rep_mle = learn_connected_mle(S, cfg)
             assert bitwise_equal(L_tv, L_mle)
             assert _same_report(rep_tv, rep_mle)
+
+
+def test_tv_windows_run_no_spectral_decomposition(monkeypatch):
+    # a report holds what the solve measured; the component count is read off L
+    # by whoever needs it, so no window pays for an eigendecomposition
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    seqs, ns = _similarity_sequence(4, p=6, seed=2)
+    for cfg in (SolverConfig(), SolverConfig(memory=2, alpha=0.05)):
+        L_seq, reports = learn_time_varying(seqs, ns, cfg)
+        assert len(reports) == 4 and all(r.converged for r in reports)
+    assert calls == []
+    assert num_components(L_seq[0]) == 1 and calls == ["eigvalsh"]  # the counter counts
 
 
 def test_tv_constant_input_is_fixed_point():
