@@ -10,7 +10,7 @@ to a cluster; a pure rank constraint would happily isolate nodes.
 
 import numpy as np
 
-from marketgraph import SolverConfig, SimilarityMatrix, learn_k_component
+from marketgraph import SolverConfig, learn_k_component
 from marketgraph.laplacian import num_components, pair_indices
 
 
@@ -34,7 +34,7 @@ def sector_returns(p_per_sector=5, sectors=3, n=750, seed=7):
 def main():
     X, labels = sector_returns()
     C = np.corrcoef(X, rowvar=False)
-    S = SimilarityMatrix(entries=(C + C.T) / 2.0, kind="correlation")
+    S = (C + C.T) / 2.0
 
     L, report = learn_k_component(S, SolverConfig(k=3, eta=10.0))
     print(f"converged: {report.converged}   components: {num_components(L)}"

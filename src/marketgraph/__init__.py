@@ -27,7 +27,6 @@ from .preprocessing import (
     MarketRemoval,
     PricePanel,
     ReturnsPanel,
-    SimilarityMatrix,
     correlation_from_covariance,
     distance_matrix,
     log_returns,
@@ -68,7 +67,6 @@ __all__ = [
     "PricePanel",
     "RecoveryScore",
     "ReturnsPanel",
-    "SimilarityMatrix",
     "SolveReport",
     "SolverConfig",
     "SpectralSummary",

@@ -42,7 +42,11 @@ class BacktestResult:
 
 
 def compute_indicators(L_seq, dates) -> IndicatorSeries:
-    """Algebraic connectivity, spectral radius and time consistency per graph."""
+    """Algebraic connectivity, spectral radius and time consistency per graph.
+
+    An indicator that is not finite (a spectrum or a distance that
+    overflows) is an error naming its window, counted from 0.
+    """
     L_seq = [np.asarray(L, dtype=float) for L in L_seq]
     if not L_seq:
         raise ValueError("empty Laplacian sequence")
@@ -52,15 +56,23 @@ def compute_indicators(L_seq, dates) -> IndicatorSeries:
     if any(L.shape != (p, p) for L in L_seq):
         raise ValueError("all Laplacians must share one dimension")
     summaries = [spectral_summary(L) for L in L_seq]
-    consistency = np.array(
-        [time_consistency(L_seq[t + 1], L_seq[t]) for t in range(len(L_seq) - 1)]
-    )
-    return IndicatorSeries(
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        consistency = [time_consistency(L_seq[t + 1], L_seq[t]) for t in range(len(L_seq) - 1)]
+    series = IndicatorSeries(
         dates=tuple(dates),
         algebraic_connectivity=np.array([s.algebraic_connectivity for s in summaries]),
         spectral_radius=np.array([s.spectral_radius for s in summaries]),
-        time_consistency=consistency,
+        time_consistency=np.array(consistency),
     )
+    for name, values, first in (
+        ("algebraic connectivity", series.algebraic_connectivity, 0),
+        ("spectral radius", series.spectral_radius, 0),
+        ("time consistency", series.time_consistency, 1),  # entry t compares windows t + 1 and t
+    ):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"window {bad[0] + first}: {name} is not finite")
+    return series
 
 
 def cumulative_pnl(daily: np.ndarray) -> np.ndarray:

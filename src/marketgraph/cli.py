@@ -277,6 +277,7 @@ def write_indicators_csv(path, indicators) -> None:
 
 
 def read_indicators_csv(path):
+    """The indicator series of ``path``; time_consistency is blank on the first row only."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"indicator file not found: {path}")
@@ -289,8 +290,11 @@ def read_indicators_csv(path):
         dates.append(_parse_cell(path, rn, row[0], "date"))
         lam2.append(_parse_cell(path, rn, row[1], "number", INDICATORS_HEADER[1]))
         lmax.append(_parse_cell(path, rn, row[2], "number", INDICATORS_HEADER[2]))
-        if row[3]:
+        if rn > 2:
             cons.append(_parse_cell(path, rn, row[3], "number", INDICATORS_HEADER[3]))
+        elif row[3].strip():
+            raise ValidationError(f"{path}: row 2, column {INDICATORS_HEADER[3]}: "
+                                  f"expected a blank cell on the first row, got {row[3]!r}")
     return IndicatorSeries(
         dates=tuple(dates),
         algebraic_connectivity=np.array(lam2),
@@ -403,10 +407,10 @@ def _prepared_returns(r: dict, returns: ReturnsPanel) -> ReturnsPanel:
     return returns
 
 
-def _similarity(returns: ReturnsPanel, scale: str):
+def _similarity(returns: ReturnsPanel, scale: str) -> np.ndarray:
     S = sample_covariance(returns)
     if scale == "correlation":
-        S = correlation_from_covariance(S)
+        S = correlation_from_covariance(S, returns.tickers)
     return S
 
 

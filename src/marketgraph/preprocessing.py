@@ -16,7 +16,6 @@ __all__ = [
     "MarketRemoval",
     "PricePanel",
     "ReturnsPanel",
-    "SimilarityMatrix",
     "correlation_from_covariance",
     "distance_matrix",
     "log_returns",
@@ -64,21 +63,6 @@ class ReturnsPanel:
 
 
 @dataclass(frozen=True)
-class SimilarityMatrix:
-    """Covariance or correlation matrix used as solver input."""
-
-    entries: np.ndarray
-    kind: str  # "covariance" | "correlation"
-    tickers: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("covariance", "correlation"):
-            raise ValueError(f"unknown similarity kind {self.kind!r}")
-        if np.abs(self.entries - self.entries.T).max() > 1e-12:
-            raise ValueError("similarity matrix must be symmetric")
-
-
-@dataclass(frozen=True)
 class MarketRemoval:
     """Residual panel from a single-factor regression plus the fitted loadings."""
 
@@ -116,34 +100,53 @@ def rolling_windows(panel: ReturnsPanel, window: int, stride: int = 1) -> list[R
     ]
 
 
-def sample_covariance(panel: ReturnsPanel) -> SimilarityMatrix:
+def _check_similarity(S) -> np.ndarray:
+    """``S`` as a float array, checked to be square, finite and symmetric on at least 2 nodes.
+
+    Symmetric means |S - S^T| <= 1e-8 max(1, max|S|) entrywise.  The
+    solvers and :func:`correlation_from_covariance` check their input by
+    this one rule.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError("similarity matrix must be square")
+    if S.shape[0] < 2:
+        raise ValueError("need at least 2 nodes")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("similarity matrix contains non-finite entries")
+    scale = max(1.0, np.abs(S).max())
+    if np.abs(S - S.T).max() > 1e-8 * scale:
+        raise ValueError("similarity matrix is not symmetric")
+    return S
+
+
+def sample_covariance(panel: ReturnsPanel) -> np.ndarray:
     """Unbiased sample covariance (n-1 denominator) of the return columns."""
     if panel.n < 2:
         raise ValueError(f"need at least 2 observations, got {panel.n}")
     X = panel.returns - panel.returns.mean(axis=0)
     S = X.T @ X / (panel.n - 1)
-    S = (S + S.T) / 2.0
-    return SimilarityMatrix(entries=S, kind="covariance", tickers=panel.tickers)
+    return (S + S.T) / 2.0
 
 
-def correlation_from_covariance(S: SimilarityMatrix) -> SimilarityMatrix:
+def correlation_from_covariance(S, tickers=None) -> np.ndarray:
     """Rescale a covariance matrix to a correlation matrix.
 
     The output is invariant to per-asset variance rescaling of the input
-    panel.  A zero-variance asset is an error (named when tickers are known).
+    panel, and a correlation matrix maps to itself.  A zero-variance asset
+    is an error, named by ``tickers`` when given.
     """
-    if S.kind != "covariance":
-        raise ValueError(f"expected a covariance matrix, got kind={S.kind!r}")
-    var = np.diag(S.entries)
+    S = _check_similarity(S)
+    var = np.diag(S)
     if np.any(var <= 0):
         i = int(np.argmax(var <= 0))
-        name = S.tickers[i] if S.tickers is not None else f"column {i}"
+        name = tickers[i] if tickers is not None else f"column {i}"
         raise ValueError(f"zero-variance asset: {name}")
     d = 1.0 / np.sqrt(var)
-    C = S.entries * np.outer(d, d)
+    C = S * np.outer(d, d)
     C = (C + C.T) / 2.0
     np.fill_diagonal(C, 1.0)
-    return SimilarityMatrix(entries=C, kind="correlation", tickers=S.tickers)
+    return C
 
 
 def remove_market_factor(

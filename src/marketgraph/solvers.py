@@ -65,7 +65,7 @@ from .laplacian import (
     pair_indices,
     weights_from_laplacian,
 )
-from .preprocessing import SimilarityMatrix
+from .preprocessing import _check_similarity
 
 __all__ = [
     "SolveReport",
@@ -156,35 +156,13 @@ class SolveReport:
     eigengap_degenerate: bool
 
 
-def _entries(S) -> np.ndarray:
-    if isinstance(S, SimilarityMatrix):
-        return np.asarray(S.entries, dtype=float)
-    return np.asarray(S, dtype=float)
-
-
-def _check_similarity(S: np.ndarray) -> int:
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("similarity matrix must be square")
-    if S.shape[0] < 2:
-        raise ValueError("need at least 2 nodes")
-    if not np.all(np.isfinite(S)):
-        raise ValueError("similarity matrix contains non-finite entries")
-    scale = max(1.0, np.abs(S).max())
-    if np.abs(S - S.T).max() > 1e-8 * scale:
-        raise ValueError("similarity matrix is not symmetric")
-    return S.shape[0]
-
-
 def _chol_logdet(A: np.ndarray) -> float | None:
     """log det of a symmetric matrix via Cholesky; None when not PD."""
     try:
         C = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    diag = np.diag(C)
-    if np.any(diag <= 0.0):
-        return None
-    return 2.0 * float(np.sum(np.log(diag)))
+    return 2.0 * float(np.sum(np.log(np.diag(C))))
 
 
 def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, rho=0.0):
@@ -359,8 +337,8 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None):
     Returns ``(L, report)``.
     """
     cfg = cfg or SolverConfig()
-    Z = np.asarray(Z, dtype=float)
-    p = _check_similarity(Z)
+    Z = _check_similarity(Z)
+    p = len(Z)
     if np.any(Z < 0):
         raise ValueError("distance matrix has negative entries")
     if cfg.alpha <= 0:
@@ -442,15 +420,15 @@ def solve_l_subproblem(
     Returns ``(L, report)``.
     """
     cfg = cfg or SolverConfig()
-    Ke = _entries(K)
-    p = _check_similarity(Ke)
+    K = _check_similarity(K)
+    p = len(K)
     m = pair_count(p)
     if null_basis is None:
         N = np.full((p, p), 1.0 / p)
     else:
         V = np.asarray(null_basis, dtype=float)
         N = V @ V.T
-    c = laplacian_adjoint(Ke)
+    c = laplacian_adjoint(K)
     objective = _likelihood(p, [c], N)
     w = w0.copy() if w0 is not None else np.full(m, 1.0 / (p - 1))
     y = np.zeros(p)
@@ -519,13 +497,13 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     Returns ``(L, report)``.
     """
     cfg = cfg or SolverConfig()
-    Se = _entries(S)
-    p = _check_similarity(Se)
+    S = _check_similarity(S)
+    p = len(S)
     k = cfg.k
     if k >= p:
         raise ValueError(f"component count k={k} must be smaller than p={p}")
 
-    L, rep = solve_l_subproblem(Se, cfg, _seed_k=k)
+    L, rep = solve_l_subproblem(S, cfg, _seed_k=k)
     w = weights_from_laplacian(L)
     w_degree = rep.constraint_residuals["degree"]
 
@@ -538,10 +516,10 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     for _ in range(_MAX_OUTER_ITERS):
         lam, U = np.linalg.eigh(L)
         V = U[:, :k]
-        if k < p and lam[k] - lam[k - 1] <= 1e-12 * max(1.0, lam[-1]):
+        if lam[k] - lam[k - 1] <= 1e-12 * max(1.0, lam[-1]):
             degenerate = True  # tie at the cut; any basis attains the Fan minimum
         N = V @ V.T
-        K = Se + cfg.eta * N
+        K = S + cfg.eta * N
         before = _likelihood(p, [laplacian_adjoint(K)], N)(w)[0]
         if trace:  # the trace starts after the first full L-step, not at the seed
             trace.append(before)
@@ -597,13 +575,12 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     the trace is of the joint window objective).
     """
     cfg = cfg or SolverConfig()
-    mats = [_entries(S) for S in S_seq]
+    mats = [_check_similarity(S) for S in S_seq]
     if not mats:
         return [], []
-    p = _check_similarity(mats[0])
-    for St in mats[1:]:
-        if _check_similarity(St) != p:
-            raise ValueError("similarity matrices must share one dimension")
+    p = len(mats[0])
+    if any(len(St) != p for St in mats):
+        raise ValueError("similarity matrices must share one dimension")
     n_seq = [int(n) for n in n_seq]
     if len(n_seq) != len(mats):
         raise ValueError("sample counts must align with the similarity sequence")

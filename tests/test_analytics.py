@@ -87,6 +87,20 @@ def test_indicators_validation():
         compute_indicators([L, L], [day(0)])
 
 
+def test_indicators_that_overflow_name_their_window():
+    P = laplacian_from_weights(np.ones(1))  # the 2-node path [[1, -1], [-1, 1]]
+    with pytest.raises(ValueError, match="window 0: algebraic connectivity is not finite"):
+        compute_indicators([1.7e308 * P], [day(0)])  # eigenvalues 0 and 3.4e308
+    days = [day(0), day(1), day(2)]
+    K3 = laplacian_from_weights(np.ones(3))
+    heavy = laplacian_from_weights(np.array([1.0, 0.0, 1.7e308]))  # eigenvalues 0, 1, inf
+    with pytest.raises(ValueError, match="window 1: spectral radius is not finite"):
+        compute_indicators([K3, heavy, K3], days)
+    # every spectrum finite (at most 2e200), but ||L_2 - L_1||_F^2 ~ 4e400 overflows
+    with pytest.raises(ValueError, match="window 2: time consistency is not finite"):
+        compute_indicators([P, P, 1e200 * P], days)
+
+
 # --- strategies ----------------------------------------------------------------
 
 def test_s1_examples():

@@ -323,7 +323,7 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
     import marketgraph.cli as climod
 
     def fake_solver(S, cfg):
-        p = np.shape(getattr(S, "entries", S))[0]
+        p = len(S)
         return np.zeros((p, p)), SolveReport(
             iterations=1,
             objective_trace=np.array([0.0]),
@@ -955,6 +955,20 @@ INPUT_ERRORS = {
         {"run/laplacian_0000.csv": "A,B\n1,-1\n-1,1\n", "run/laplacian_0001.csv": "A,C\n1,-1\n-1,1\n",
          "run/windows.csv": _WINDOWS_1 + "1,2020-01-02,2020-01-31\n"},
         "indicators --input {d}/run", ["laplacian_0001.csv: header A,C differs from the first window's A,B"]),
+    "zero-variance asset": ({"p.csv": "date,A,B\n2020-01-01,1,2\n2020-01-02,2,2\n2020-01-03,3,2\n"},
+                            "learn --input {d}/p.csv", ["zero-variance asset: B"]),
+    "stored matrix with an overflowing spectrum": (
+        {"run/laplacian_0000.csv": "A,B\n1.7e308,-1.7e308\n-1.7e308,1.7e308\n", "run/windows.csv": _WINDOWS_1},
+        "indicators --input {d}/run", ["window 0: algebraic connectivity is not finite"]),
+    "time consistency on the first indicators row": (
+        {"p.csv": _PRICES_3, "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,0.5\n2020-01-03,1.0,2.0,0.5\n"},
+        "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+        ["ind.csv: row 2, column time_consistency: expected a blank cell on the first row, got '0.5'"]),
+    "blank time consistency after the first indicators row": (
+        {"p.csv": _PRICES_3,
+         "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,\n2020-01-03,1.0,2.0,0.5\n2020-01-04,1.0,2.0,\n"},
+        "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+        ["ind.csv: row 4, column time_consistency: non-numeric cell ''"]),
 }
 
 

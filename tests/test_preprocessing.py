@@ -6,7 +6,6 @@ import pytest
 from marketgraph.preprocessing import (
     PricePanel,
     ReturnsPanel,
-    SimilarityMatrix,
     correlation_from_covariance,
     distance_matrix,
     log_returns,
@@ -44,10 +43,13 @@ def test_inconsistent_inputs_are_rejected():
                    tickers=("A",), prices=np.ones((2, 1)))
     with pytest.raises(ValueError, match="return matrix shape"):
         make_panel(np.ones((3, 2)), tickers=("A",))
-    with pytest.raises(ValueError, match="unknown similarity kind"):
-        SimilarityMatrix(entries=np.eye(2), kind="distance")
-    with pytest.raises(ValueError, match="symmetric"):
-        SimilarityMatrix(entries=np.array([[1.0, 0.5], [0.0, 1.0]]), kind="covariance")
+    # the solvers' similarity rule, which correlation_from_covariance applies too
+    for S, message in [(np.array([[1.0, 0.5], [0.5 + 2e-8, 1.0]]), "not symmetric"),
+                       (np.ones((2, 3)), "square"),
+                       (np.ones((1, 1)), "at least 2 nodes"),
+                       (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite")]:
+        with pytest.raises(ValueError, match=message):
+            correlation_from_covariance(S)
     with pytest.raises(ValueError, match="align with the panel dates"):
         remove_market_factor(make_panel(np.ones((4, 2))), np.arange(3.0))
 
@@ -90,11 +92,10 @@ def test_log_returns_rejects_nonpositive():
 
 def test_sample_covariance_examples():
     S = sample_covariance(make_panel([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]))
-    assert np.array_equal(S.entries, np.zeros((2, 2)))
-    assert S.kind == "covariance"
+    assert np.array_equal(S, np.zeros((2, 2)))
 
     S = sample_covariance(make_panel([[1.0, 0.0], [-1.0, 0.0]]))
-    assert np.allclose(S.entries, [[2.0, 0.0], [0.0, 0.0]], atol=1e-15)
+    assert np.allclose(S, [[2.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     with pytest.raises(ValueError, match="at least 2"):
         sample_covariance(make_panel([[1.0, 2.0]]))
@@ -103,7 +104,7 @@ def test_sample_covariance_examples():
 def test_sample_covariance_matches_double_loop_oracle():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5, 3))
-    S = sample_covariance(make_panel(X)).entries
+    S = sample_covariance(make_panel(X))
     mu = X.mean(axis=0)
     for i in range(3):
         for j in range(3):
@@ -114,42 +115,35 @@ def test_sample_covariance_matches_double_loop_oracle():
 # --- correlation ----------------------------------------------------------
 
 def test_correlation_examples():
-    c = correlation_from_covariance(
-        SimilarityMatrix(entries=np.array([[4.0, 2.0], [2.0, 1.0]]), kind="covariance")
-    )
-    assert np.allclose(c.entries, np.ones((2, 2)), atol=1e-15)
-    assert c.kind == "correlation"
-    c = correlation_from_covariance(
-        SimilarityMatrix(entries=np.diag([3.0, 7.0]), kind="covariance")
-    )
-    assert np.array_equal(c.entries, np.eye(2))
-    c = correlation_from_covariance(
-        SimilarityMatrix(entries=np.array([[2.0, -1.0], [-1.0, 2.0]]), kind="covariance")
-    )
-    assert np.allclose(c.entries, [[1.0, -0.5], [-0.5, 1.0]], atol=1e-15)
+    c = correlation_from_covariance(np.array([[4.0, 2.0], [2.0, 1.0]]))
+    assert np.allclose(c, np.ones((2, 2)), atol=1e-15)
+    assert np.array_equal(correlation_from_covariance(np.diag([3.0, 7.0])), np.eye(2))
+    c = correlation_from_covariance(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    assert np.allclose(c, [[1.0, -0.5], [-0.5, 1.0]], atol=1e-15)
 
 
 def test_correlation_scale_invariance():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((40, 5))
     scales = np.array([0.1, 3.0, 17.0, 0.02, 5.0])
-    C1 = correlation_from_covariance(sample_covariance(make_panel(X))).entries
-    C2 = correlation_from_covariance(sample_covariance(make_panel(X * scales))).entries
+    C1 = correlation_from_covariance(sample_covariance(make_panel(X)))
+    C2 = correlation_from_covariance(sample_covariance(make_panel(X * scales)))
     assert np.abs(C1 - C2).max() <= 1e-12
 
 
 def test_correlation_names_offending_ticker():
-    S = sample_covariance(make_panel([[1.0, 1.0], [2.0, 1.0]], tickers=("AAA", "BBB")))
-    with pytest.raises(ValueError, match="BBB"):
+    S = sample_covariance(make_panel([[1.0, 1.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="zero-variance asset: BBB"):
+        correlation_from_covariance(S, ("AAA", "BBB"))
+    with pytest.raises(ValueError, match="zero-variance asset: column 1"):
         correlation_from_covariance(S)
 
 
-def test_correlation_rejects_wrong_kind():
+def test_correlation_of_a_correlation_is_itself():
     S = correlation_from_covariance(
         sample_covariance(make_panel(np.random.default_rng(3).standard_normal((9, 3))))
     )
-    with pytest.raises(ValueError, match="covariance"):
-        correlation_from_covariance(S)
+    assert np.array_equal(correlation_from_covariance(S), S)
 
 
 # --- market removal -------------------------------------------------------

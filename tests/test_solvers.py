@@ -73,6 +73,21 @@ def test_mle_scale_property():
     assert np.abs(2.5 * Lb - La).max() <= 1e-5
 
 
+_SCALE_STOP = ("ROADMAP item 5: _spg stops at inner_tol * max(1, max|g0|), an absolute tolerance "
+               "on small-scale input, so at c = 1e-4 it reports convergence 1.9e-3 / 2.3e-3 away")
+
+
+@pytest.mark.parametrize("c", [1.0, pytest.param(1e-4, marks=pytest.mark.xfail(strict=True, reason=_SCALE_STOP))])
+@pytest.mark.parametrize("p", [10, 20])
+def test_mle_of_a_rescaled_correlation_is_the_rescaled_mle(p, c):
+    # c * MLE(c * S) = MLE(S) in exact arithmetic; c = 1e-4 is the scale of a daily-return covariance
+    S = correlation_from_covariance(sample_covariance(simulate_factor_market(p, 3 * p, seed=p).returns))
+    exact, _ = learn_connected_mle(S, SolverConfig(inner_tol=1e-12))
+    L, report = learn_connected_mle(c * S)
+    assert report.converged
+    assert np.abs(c * L - exact).max() <= 1e-5 * np.abs(exact).max()  # 1.6e-7 at c = 1
+
+
 def test_mle_validates_input():
     with pytest.raises(ValueError, match="symmetric"):
         learn_connected_mle(np.array([[1.0, 0.2], [0.0, 1.0]]))
@@ -285,7 +300,7 @@ def test_k_component_structure_on_planted_data():
 def test_k_component_permutation_equivariance():
     pg = random_k_component_graph(8, 2, seed=3, extra_edge_prob=1.0)
     panel = sample_gmrf(pg.L_true, 4000, seed=4)
-    S = correlation_from_covariance(sample_covariance(panel)).entries
+    S = correlation_from_covariance(sample_covariance(panel))
     rng = np.random.default_rng(5)
     perm = rng.permutation(8)
     P = np.eye(8)[perm]
@@ -324,7 +339,7 @@ def test_outer_traces_hold_the_documented_objectives(monkeypatch):
 def _planted_k2_similarity(sample_seed=2):
     pg = random_k_component_graph(10, 2, seed=1, extra_edge_prob=1.0)
     return correlation_from_covariance(
-        sample_covariance(sample_gmrf(pg.L_true, 2000, seed=sample_seed))).entries
+        sample_covariance(sample_gmrf(pg.L_true, 2000, seed=sample_seed)))
 
 
 @pytest.mark.parametrize("sample_seed, rejects", [(2, 0), (6, 1)])
@@ -646,9 +661,9 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
 def _joint_program(seqs, ns, delta):
     """The docstring program of ``learn_time_varying`` over all of ``seqs``,
     on the reference operators, as ``x -> (value, gradient)``."""
-    p, T = seqs[0].entries.shape[0], len(seqs)
+    p, T = seqs[0].shape[0], len(seqs)
     J = np.full((p, p), 1.0 / p)
-    cs = [reference_ops.laplacian_adjoint(S.entries) for S in seqs]
+    cs = [reference_ops.laplacian_adjoint(S) for S in seqs]
 
     def fg(x):
         W = x.reshape(T, -1)
@@ -689,11 +704,11 @@ def test_tv_full_memory_matches_the_joint_program(delta):
 def test_tv_validates_inputs():
     seqs, ns = _similarity_sequence(2, seed=6)
     with pytest.raises(ValueError, match="dimension"):
-        learn_time_varying([seqs[0].entries, np.eye(3)], [30, 30], SolverConfig())
+        learn_time_varying([seqs[0], np.eye(3)], [30, 30], SolverConfig())
     with pytest.raises(ValueError, match="sample counts"):
-        learn_time_varying([s.entries for s in seqs], [30], SolverConfig())
+        learn_time_varying(seqs, [30], SolverConfig())
     with pytest.raises(ValueError, match="at least 1"):
-        learn_time_varying([s.entries for s in seqs], [30, 0], SolverConfig())
+        learn_time_varying(seqs, [30, 0], SolverConfig())
 
 
 def test_solver_config_validation():
