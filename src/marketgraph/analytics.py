@@ -109,11 +109,11 @@ def strategy_s2(
     the latest one before it), and a day without one stays flat: the
     warm-up, and with a rolling stride above 1 every day that does not
     follow a window end.  On ``synth --mode factor --assets 8 --days 230
-    --regimes 115:0.1,114:0.8 --seed 1``, ``backtest --tau 100`` invests on
-    199 days at stride 1 and on 40 of those 199 at ``--stride 5``; carrying
-    a stale indicator forward would need a policy for its age.  Raises when
-    ``tau`` is NaN or the indicator dates cannot be aligned to the return
-    dates at all.
+    --regimes 115:0.1,114:0.8 --seed 1``, ``backtest --tau 100`` on the
+    indicators of ``learn-tv`` invests on 199 days at stride 1 and on 40 of
+    those 199 at ``--stride 5``; carrying a stale indicator forward would
+    need a policy for its age.  Raises when ``tau`` is NaN or the indicator
+    dates cannot be aligned to the return dates at all.
     """
     if math.isnan(tau):
         raise ValueError("gate threshold tau must not be NaN")

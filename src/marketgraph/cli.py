@@ -1,9 +1,9 @@
 """Command-line pipelines: price CSVs in, plot-ready CSV/JSON out.
 
 Subcommands: ``learn`` (static graph), ``learn-tv`` (rolling time-varying
-graphs + indicators), ``backtest`` (connectivity-gated S1/S2 comparison),
-``synth`` (synthetic fixtures with planted truth), ``indicators``
-(recompute indicators from stored Laplacians).
+graphs + indicators), ``backtest`` (connectivity-gated S1/S2 comparison on
+the indicators a ``learn-tv`` run wrote), ``synth`` (synthetic fixtures with
+planted truth), ``indicators`` (recompute indicators from stored Laplacians).
 
 :func:`main` creates the output directory, and the subcommand writes its
 artifacts there and returns its ``meta.json`` fields; ``main`` writes
@@ -50,25 +50,26 @@ EXIT_NONCONVERGED = 3
 # config key -> (default, subcommands taking it as the flag --<key with dashes>, argparse keywords);
 # a boolean option is a bare flag, and config-file values go through the same type and choices
 OPTIONS = {
-    "scale": ("correlation", ("learn", "learn-tv", "backtest"), {"choices": ["covariance", "correlation"]}),
-    "market": ("keep", ("learn", "learn-tv", "backtest"), {"choices": ["keep", "remove"]}),
-    "market_column": (None, ("learn", "learn-tv", "backtest"), {"help": "ticker used as the market index"}),
+    "scale": ("correlation", ("learn", "learn-tv"), {"choices": ["covariance", "correlation"]}),
+    "market": ("keep", ("learn", "learn-tv"), {"choices": ["keep", "remove"]}),
+    "market_column": (None, ("learn", "learn-tv"), {"help": "ticker used as the market index"}),
     "ffill": (False, ("learn", "learn-tv", "backtest"),
               {"help": "forward-fill missing prices instead of dropping rows"}),
     "k": (SolverConfig.k, ("learn",),
           {"type": int, "help": "component count (k > 1 selects the k-component solver)"}),
     "eta": (SolverConfig.eta, ("learn",), {"type": float, "help": "spectral rank-penalty weight"}),
-    "alpha": (SolverConfig.alpha, ("learn", "learn-tv", "backtest"),
+    "alpha": (SolverConfig.alpha, ("learn", "learn-tv"),
               {"type": float, "help": "sparsity / log-degree weight"}),
     "gamma": (SolverConfig.gamma, ("learn",),
               {"type": float, "help": "Frobenius weight of the smooth baseline"}),
     "method": ("mle", ("learn",), {"choices": ["mle", "smooth"], "help": "estimator for k=1"}),
-    "window": (30, ("learn-tv", "backtest"), {"type": int, "help": "rolling window length in return days"}),
-    "stride": (1, ("learn-tv", "backtest"), {"type": int, "help": "rolling window stride in days"}),
-    "delta": (SolverConfig.delta, ("learn-tv", "backtest"), {"type": float, "help": "temporal coupling weight"}),
-    "memory": (SolverConfig.memory, ("learn-tv", "backtest"),
+    "window": (30, ("learn-tv",), {"type": int, "help": "rolling window length in return days"}),
+    "stride": (1, ("learn-tv",), {"type": int, "help": "rolling window stride in days"}),
+    "delta": (SolverConfig.delta, ("learn-tv",), {"type": float, "help": "temporal coupling weight"}),
+    "memory": (SolverConfig.memory, ("learn-tv",),
                {"type": int, "help": "joint-history length of the time-varying solver"}),
-    "indicators": (None, ("backtest",), {"help": "indicators.csv from a previous learn-tv run"}),
+    "indicators": (None, ("backtest",),
+                   {"help": "indicators.csv of a learn-tv or indicators run (required)"}),
     "tau": (1.0, ("backtest",), {"type": float, "help": "connectivity threshold of the S2 gate"}),
     "invert_gate": (False, ("backtest",), {"help": "invest when connectivity is at or above tau"}),
     "mode": ("gmrf", ("synth",), {"choices": ["gmrf", "factor"]}),
@@ -387,8 +388,9 @@ def _raw_returns(r: dict) -> ReturnsPanel:
     return log_returns(ingest_prices(r["input"], ffill=r["ffill"]))
 
 
-def _prepared_returns(r: dict, returns: ReturnsPanel) -> ReturnsPanel:
-    """``returns`` as the solvers see them: market removed if asked."""
+def _prepared_returns(r: dict) -> ReturnsPanel:
+    """The returns of ``r["input"]`` as the solvers see them: market removed if asked."""
+    returns = _raw_returns(r)
     if r["market"] == "remove":
         market = None
         if r["market_column"]:
@@ -419,7 +421,9 @@ def _similarity(returns: ReturnsPanel, scale: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_learn(r: dict, outdir: Path) -> dict:
-    returns = _prepared_returns(r, _raw_returns(r))
+    if r["method"] == "smooth" and r["k"] > 1:
+        raise ValidationError(f"--method smooth learns one component; it takes no --k {r['k']}")
+    returns = _prepared_returns(r)
     cfg = _solver_config(r)
     t0 = time.perf_counter()
 
@@ -445,26 +449,13 @@ def cmd_learn(r: dict, outdir: Path) -> dict:
     }
 
 
-def _rolling_graphs(returns: ReturnsPanel, r: dict):
-    """Time-varying graphs over the rolling windows of ``returns``.
-
-    Returns ``(L_seq, convergence, spans)``: ``convergence`` holds the
-    ``meta.json`` fields ``converged`` and ``unconverged_windows`` (window
-    indices), and ``spans`` each window's first and last date.
-    """
+def cmd_learn_tv(r: dict, outdir: Path) -> dict:
+    returns = _prepared_returns(r)
+    t0 = time.perf_counter()
     windows = rolling_windows(returns, r["window"], r["stride"])
     cfg = _solver_config(r)
     S_seq = [_similarity(chunk, r["scale"]) for chunk in windows]
     L_seq, reports = learn_time_varying(S_seq, [chunk.n for chunk in windows], cfg)
-    unconverged = [t for t, report in enumerate(reports) if not report.converged]
-    spans = [(chunk.dates[0], chunk.dates[-1]) for chunk in windows]
-    return L_seq, {"converged": not unconverged, "unconverged_windows": unconverged}, spans
-
-
-def cmd_learn_tv(r: dict, outdir: Path) -> dict:
-    returns = _prepared_returns(r, _raw_returns(r))
-    t0 = time.perf_counter()
-    L_seq, convergence, spans = _rolling_graphs(returns, r)
     wall = time.perf_counter() - t0
 
     for t, L in enumerate(L_seq):
@@ -472,23 +463,20 @@ def cmd_learn_tv(r: dict, outdir: Path) -> dict:
     _write_rows(
         outdir / "windows.csv",
         WINDOWS_HEADER,
-        ([t, d0.isoformat(), d1.isoformat()] for t, (d0, d1) in enumerate(spans)),
+        ([t, chunk.dates[0].isoformat(), chunk.dates[-1].isoformat()] for t, chunk in enumerate(windows)),
     )
-    indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
+    indicators = compute_indicators(L_seq, [chunk.dates[-1] for chunk in windows])
     write_indicators_csv(outdir / "indicators.csv", indicators)
-    return {"n_windows": len(L_seq), "wall_time_s": wall, **convergence}
+    unconverged = [t for t, report in enumerate(reports) if not report.converged]
+    return {"n_windows": len(L_seq), "wall_time_s": wall, "converged": not unconverged,
+            "unconverged_windows": unconverged}
 
 
 def cmd_backtest(r: dict, outdir: Path) -> dict:
+    if not r["indicators"]:
+        raise ValidationError("--indicators is required: an indicators.csv from learn-tv or indicators")
     returns = _raw_returns(r)  # PnL always uses raw returns
-
-    if r["indicators"]:
-        indicators = read_indicators_csv(r["indicators"])
-        convergence = {"converged": True}  # no solver ran
-    else:
-        L_seq, convergence, spans = _rolling_graphs(_prepared_returns(r, returns), r)
-        indicators = compute_indicators(L_seq, [d1 for _, d1 in spans])
-        write_indicators_csv(outdir / "indicators.csv", indicators)
+    indicators = read_indicators_csv(r["indicators"])
 
     s1 = strategy_s1(returns)
     s2 = strategy_s2(returns, indicators, tau=r["tau"], invert=r["invert_gate"])
@@ -496,7 +484,7 @@ def cmd_backtest(r: dict, outdir: Path) -> dict:
     header = ["date", "s1_cum", "s2_cum", "position"]
     _write_rows(outdir / "pnl.csv", header, _dated_rows(returns.dates, pnl))
     return {
-        **convergence,
+        "converged": True,  # no solver ran
         "final_s1": float(s1.cumulative_pnl[-1]),
         "final_s2": float(s2.cumulative_pnl[-1]),
         "days_invested": int(s2.positions.sum()),

@@ -342,7 +342,7 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
         assert (out / "laplacian.csv").exists()  # artifacts still written
         assert json.loads((out / "meta.json").read_text())["converged"] is False
 
-    # learn-tv and the estimating backtest name the windows that did not converge
+    # learn-tv names the windows that did not converge
     real = climod.learn_time_varying
 
     def one_window_unconverged(S_seq, n_seq, cfg):
@@ -351,14 +351,13 @@ def test_nonconvergence_exit_code(tmp_path, gmrf_prices, monkeypatch):
         return L_seq, reports
 
     monkeypatch.setattr(climod, "learn_time_varying", one_window_unconverged)
-    for command, artifact in (("learn-tv", "laplacian_0001.csv"), ("backtest", "pnl.csv")):
-        out = tmp_path / command
-        code = main([command, "--input", str(gmrf_prices), "--window", "30", "--stride", "30",
-                     "--output-dir", str(out)])
-        assert code == EXIT_NONCONVERGED
-        assert (out / artifact).exists()
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["converged"] is False and meta["unconverged_windows"] == [1]
+    out = tmp_path / "learn-tv"
+    code = main(["learn-tv", "--input", str(gmrf_prices), "--window", "30", "--stride", "30",
+                 "--output-dir", str(out)])
+    assert code == EXIT_NONCONVERGED
+    assert (out / "laplacian_0001.csv").exists()
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["converged"] is False and meta["unconverged_windows"] == [1]
 
 
 def test_unconverged_l_steps_make_learn_k_unconverged(tmp_path, monkeypatch):
@@ -537,23 +536,8 @@ def test_backtest_with_stored_indicators(tmp_path, tv_run):
     assert meta["converged"] is True and "unconverged_windows" not in meta  # no solver ran
 
 
-def test_backtest_estimates_the_learn_tv_indicators(tmp_path, tv_run):
-    data, run = tv_run
-    out = tmp_path / "bt_est"
-    assert main(["backtest", "--input", str(data / "prices.csv"), "--window", "30",
-                 "--stride", "1", "--delta", "20", "--output-dir", str(out)]) == EXIT_OK
-    assert (out / "indicators.csv").read_bytes() == (run / "indicators.csv").read_bytes()
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["converged"] is True and meta["unconverged_windows"] == []
-    stored = tmp_path / "bt_stored"
-    assert main(["backtest", "--input", str(data / "prices.csv"),
-                 "--indicators", str(run / "indicators.csv"),
-                 "--output-dir", str(stored)]) == EXIT_OK
-    assert (out / "pnl.csv").read_bytes() == (stored / "pnl.csv").read_bytes()
-
-
 @pytest.mark.parametrize("market", ["keep", "remove"])
-def test_estimating_backtest_parses_the_prices_once(tmp_path, tv_run, monkeypatch, market):
+def test_learn_tv_parses_the_prices_once(tmp_path, tv_run, monkeypatch, market):
     import marketgraph.cli as climod
 
     data, _ = tv_run
@@ -564,12 +548,12 @@ def test_estimating_backtest_parses_the_prices_once(tmp_path, tv_run, monkeypatc
         return ingest_prices(*args, **kwargs)
 
     monkeypatch.setattr(climod, "ingest_prices", counted)
-    assert main(["backtest", "--input", str(data / "prices.csv"), "--market", market,
-                 "--delta", "20", "--output-dir", str(tmp_path / "bt")]) == EXIT_OK
+    assert main(["learn-tv", "--input", str(data / "prices.csv"), "--market", market,
+                 "--delta", "20", "--output-dir", str(tmp_path / "tv")]) == EXIT_OK
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", ["learn-tv", "backtest"])
+@pytest.mark.parametrize("command", ["learn-tv"])
 @pytest.mark.parametrize("flag, value, message", [
     ("--window", "1", "window length must be at least 2"),
     ("--stride", "0", "stride must be at least 1"),
@@ -586,10 +570,12 @@ def test_backtest_at_stride_5_invests_only_after_a_window_end(tmp_path, tv_run):
     # the S2 gate reads the indicator dated on the previous trading day, and at
     # stride 5 only every fifth day ends a window: the other days stay flat
     data, _ = tv_run
-    out = tmp_path / "bt5"
-    assert main(["backtest", "--input", str(data / "prices.csv"), "--stride", "5", "--delta", "20",
+    run, out = tmp_path / "tv5", tmp_path / "bt5"
+    assert main(["learn-tv", "--input", str(data / "prices.csv"), "--stride", "5", "--delta", "20",
+                 "--output-dir", str(run)]) == EXIT_OK
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--indicators", str(run / "indicators.csv"),
                  "--tau", "inf", "--output-dir", str(out)]) == EXIT_OK
-    ends = {row[0] for row in read_csv(out / "indicators.csv")[1:]}
+    ends = {row[0] for row in read_csv(run / "indicators.csv")[1:]}
     rows = read_csv(out / "pnl.csv")[1:]
     invested = [t for t, row in enumerate(rows) if float(row[3]) == 1.0]
     assert invested == [t for t in range(1, len(rows)) if rows[t - 1][0] in ends]
@@ -637,22 +623,29 @@ def test_backtest_tau_infinite_gate(tmp_path, tv_run):
 # --- config file ----------------------------------------------------------------------
 
 def test_config_file_and_flag_precedence(tmp_path, tv_run):
-    data, _ = tv_run
+    data, run = tv_run
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("tau = 2.5\nstride = 5\nscale = covariance\nffill = off\n# comment\n")
+    cfgfile.write_text(f"tau = 2.5\nindicators = {run / 'indicators.csv'}\nffill = off\n# comment\n")
     out1 = tmp_path / "c1"
     assert main(["backtest", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
                  "--output-dir", str(out1)]) == EXIT_OK
     meta = json.loads((out1 / "meta.json").read_text())
     assert meta["config"]["tau"] == 2.5
-    assert meta["config"]["stride"] == 5
-    assert meta["config"]["scale"] == "covariance"
+    assert meta["config"]["indicators"] == str(run / "indicators.csv")
     assert meta["config"]["ffill"] is False
 
     out2 = tmp_path / "c2"
     assert main(["backtest", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
                  "--tau", "3.5", "--output-dir", str(out2)]) == EXIT_OK
     assert json.loads((out2 / "meta.json").read_text())["config"]["tau"] == 3.5
+
+    cfgfile.write_text("stride = 5\nscale = covariance\n")
+    out_tv = tmp_path / "c_tv"
+    assert main(["learn-tv", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
+                 "--output-dir", str(out_tv)]) == EXIT_OK
+    meta = json.loads((out_tv / "meta.json").read_text())
+    assert meta["config"]["stride"] == 5 and meta["n_windows"] == 8
+    assert meta["config"]["scale"] == "covariance"
 
     cfgfile.write_text("seed = 42\n")
     out3 = tmp_path / "c3"
@@ -739,13 +732,6 @@ _PRICE_FLAGS = {
     ("--ffill",): ("ffill", None, None, True),
     ("--alpha",): ("alpha", float, None, None),
 }
-_ROLLING_FLAGS = {
-    **_PRICE_FLAGS,
-    ("--window",): ("window", int, None, None),
-    ("--stride",): ("stride", int, None, None),
-    ("--delta",): ("delta", float, None, None),
-    ("--memory",): ("memory", int, None, None),
-}
 EXPECTED_FLAGS = {
     "learn": {
         **_PRICE_FLAGS,
@@ -754,9 +740,18 @@ EXPECTED_FLAGS = {
         ("--gamma",): ("gamma", float, None, None),
         ("--method",): ("method", None, ["mle", "smooth"], None),
     },
-    "learn-tv": _ROLLING_FLAGS,
+    "learn-tv": {
+        **_PRICE_FLAGS,
+        ("--window",): ("window", int, None, None),
+        ("--stride",): ("stride", int, None, None),
+        ("--delta",): ("delta", float, None, None),
+        ("--memory",): ("memory", int, None, None),
+    },
     "backtest": {
-        **_ROLLING_FLAGS,
+        **_OUTPUT_FLAGS,
+        **_INPUT_FLAG,
+        **_CONFIG_FLAG,
+        ("--ffill",): ("ffill", None, None, True),
         ("--indicators",): ("indicators", None, None, None),
         ("--tau",): ("tau", float, None, None),
         ("--invert-gate",): ("invert_gate", None, None, True),
@@ -795,6 +790,7 @@ def test_parser_flags_are_pinned():
 @pytest.mark.parametrize("argv", [
     ["learn-tv", "--k", "4"],
     ["learn-tv", "--tau", "9"],
+    ["backtest", "--delta", "20"],
     ["learn", "--seed", "9"],
     ["synth", "--tau", "5"],
     ["indicators", "--delta", "3"],
@@ -833,7 +829,15 @@ INPUT_ERRORS = {
     "ragged row": ({"p.csv": "date,A,B\n2020-01-01,1,2\n2020-01-02,1\n"},
                    "learn-tv --input {d}/p.csv", ["row 3: expected 3 cells, got 2"]),
     "non-positive price": ({"p.csv": "date,A\n2020-01-01,1\n2020-01-02,0\n"},
-                           "backtest --input {d}/p.csv", ["row 3, column A: non-positive price 0.0"]),
+                           "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                           ["row 3, column A: non-positive price 0.0"]),
+    "backtest without indicators": ({"p.csv": _PRICES_3}, "backtest --input {d}/p.csv",
+                                    ["--indicators is required"]),
+    "smooth with k above 1": ({"p.csv": _PRICES_3}, "learn --input {d}/p.csv --k 2 --method smooth",
+                              ["--method smooth learns one component; it takes no --k 2"]),
+    "smooth with k above 1 in a config file": ({"p.csv": _PRICES_3, "run.cfg": "method = smooth\nk = 3\n"},
+                                               "learn --input {d}/p.csv --config {d}/run.cfg",
+                                               ["--method smooth learns one component; it takes no --k 3"]),
     "inf is missing": ({"p.csv": "date,A\n2020-01-01,1\n2020-01-02,inf\n"}, "learn --input {d}/p.csv",
                        ["dropped 1 row(s) with missing values", "fewer than 2 usable price rows"]),
     "one usable row": ({"p.csv": "date,A\n2020-01-01,1\n"},
@@ -900,6 +904,10 @@ INPUT_ERRORS = {
                           ["sparsity weight alpha must be nonnegative, got -5.0"]),
     "negative eta": ({"p.csv": _PRICES_3}, "learn --input {d}/p.csv --k 2 --eta -1",
                      ["rank-penalty weight eta must be nonnegative, got -1.0"]),
+    "infinite tv delta": ({"p.csv": _PRICES_3}, "learn-tv --input {d}/p.csv --window 2 --delta inf",
+                          ["temporal weight delta must be finite, got inf"]),
+    "infinite gamma": ({"p.csv": _PRICES_3}, "learn --input {d}/p.csv --method smooth --alpha 1 --gamma inf",
+                       ["Frobenius weight gamma must be finite, got inf"]),
     "nan tau": ({"p.csv": _PRICES_3, "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,\n"},
                 "backtest --input {d}/p.csv --indicators {d}/ind.csv --tau nan",
                 ["gate threshold tau must not be NaN"]),
@@ -994,11 +1002,15 @@ def test_input_errors_exit_2_with_their_message(tmp_path, capsys, case):
 
 @pytest.fixture(scope="module")
 def table_inputs(tmp_path_factory, gmrf_prices, tv_run):
-    """Price files for the modes below: gmrf_prices and tv_run's, each also with one blank cell."""
+    """Price files for the modes below: gmrf_prices and tv_run's, each also with one blank cell;
+    tv_run's indicators, and those of a stride-2 run on its prices."""
     base = tmp_path_factory.mktemp("table")
     tv_prices = tv_run[0] / "prices.csv"
+    assert main(["learn-tv", "--input", str(tv_prices), "--stride", "2", "--delta", "20",
+                 "--output-dir", str(base / "stride2")]) == EXIT_OK
     paths = {"gmrf": gmrf_prices, "tv": tv_prices, "run": tv_run[1],
-             "indicators": tv_run[1] / "indicators.csv"}
+             "indicators": tv_run[1] / "indicators.csv",
+             "stride2_indicators": base / "stride2" / "indicators.csv"}
     for name in ("gmrf", "tv"):
         rows = read_csv(paths[name])
         rows[5][1] = ""
@@ -1007,20 +1019,22 @@ def table_inputs(tmp_path_factory, gmrf_prices, tv_run):
     return paths
 
 
-# per subcommand, the modes to try an option in (never one that sets the option itself)
+# per subcommand, the modes to try an option in; a mode that already sets the option to the
+# value tried is skipped for it, and backtest's required --indicators is overridden by the change
 TABLE_MODES = {
     "learn": ["learn --input {gmrf}", "learn --input {gmrf_gap}", "learn --input {gmrf} --market remove",
               "learn --input {gmrf} --k 3", "learn --input {gmrf} --method smooth --alpha 1"],
     "learn-tv": ["learn-tv --input {tv}", "learn-tv --input {tv_gap}",
                  "learn-tv --input {tv} --market remove"],
-    "backtest": ["backtest --input {tv}", "backtest --input {tv} --indicators {indicators}",
-                 "backtest --input {tv_gap}", "backtest --input {tv} --market remove"],
+    "backtest": ["backtest --input {tv} --indicators {indicators}",
+                 "backtest --input {tv_gap} --indicators {indicators}",
+                 "backtest --input {tv} --indicators {indicators} --tau inf"],
     "synth": ["synth", "synth --mode factor"],
     "indicators": ["indicators --input {run}"],
 }
-# the value each option is changed to: NON_DEFAULTS, with a real indicators file and
+# the value each option is changed to: NON_DEFAULTS, with a second real indicators file and
 # regimes that fit the default 229 return days
-TABLE_VALUES = {**NON_DEFAULTS, "indicators": "{indicators}", "regimes": "115:0.3,114:0.6"}
+TABLE_VALUES = {**NON_DEFAULTS, "indicators": "{stride2_indicators}", "regimes": "115:0.3,114:0.6"}
 
 
 def _outputs(argv, out):
@@ -1032,14 +1046,14 @@ def _outputs(argv, out):
 @pytest.mark.parametrize("command, key", sorted(
     (command, key) for key, (_, commands, _) in OPTIONS.items() for command in commands))
 def test_every_option_of_a_subcommand_changes_its_output(tmp_path, capsys, table_inputs, command, key):
-    """Changing the option from its default changes the exit code or a file other than meta.json."""
+    """Changing the option from its value in the mode changes the exit code or a file other than meta.json."""
     flag, value = "--" + key.replace("_", "-"), TABLE_VALUES[key]
     change = [flag] if value is None else [flag, value.format(**table_inputs)]
     tried = []
     for i, mode in enumerate(TABLE_MODES[command]):
-        if flag in mode.split():
-            continue
         argv = mode.format(**table_inputs).split()
+        if any(argv[j:j + len(change)] == change for j in range(len(argv))):
+            continue
         base = _outputs(argv, tmp_path / f"base{i}")
         if _outputs(argv + change, tmp_path / f"changed{i}") != base:
             return
@@ -1059,6 +1073,8 @@ def test_meta_config_holds_the_subcommands_own_options(tmp_path, table_inputs, c
 @pytest.mark.parametrize("command", ["learn", "learn-tv", "backtest", "indicators"])
 def test_the_output_directory_is_made_before_the_input_is_read(tmp_path, capsys, command):
     argv = [command, "--input", str(tmp_path / "missing"), "--output-dir", str(tmp_path / "o")]
+    if command == "backtest":
+        argv += ["--indicators", str(tmp_path / "missing.csv")]
     assert main(argv) == EXIT_VALIDATION
     assert (tmp_path / "o").is_dir()
 
@@ -1069,8 +1085,6 @@ META_KEYS = {
     "learn --input {gmrf}": ["converged", "iterations", "objective", "constraint_residuals",
                              "nullity", "n_edges", "wall_time_s"],
     "learn-tv --input {tv}": ["n_windows", "wall_time_s", "converged", "unconverged_windows"],
-    "backtest --input {tv}": ["converged", "unconverged_windows", "final_s1", "final_s2",
-                              "days_invested"],
     "backtest --input {tv} --indicators {indicators}": ["converged", "final_s1", "final_s2",
                                                         "days_invested"],
     "synth": ["planted_nullity", "k_true", "converged", "n_price_rows"],

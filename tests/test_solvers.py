@@ -718,10 +718,12 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(memory=0)
-    for name in ("alpha", "eta", "delta"):
+    for name in ("alpha", "eta", "gamma", "delta"):
         for value in (-1.0, float("nan")):
             with pytest.raises(ValueError, match=f"{name} must be nonnegative, got {value}"):
                 SolverConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+            SolverConfig(**{name: float("inf")})
 
 
 # --- operator rewrites keep every float ---------------------------------------
