@@ -330,8 +330,8 @@ def _parse_config_file(path) -> dict:
         raise ValidationError(f"{path}: unreadable config file: {exc}") from None
     out = {}
     for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):  # a "#" inside a value is part of it
             continue
         if "=" not in line:
             raise ValidationError(f"{path}: line {ln}: expected 'key = value'")
@@ -469,7 +469,7 @@ def cmd_learn_tv(r: dict, outdir: Path) -> dict:
     write_indicators_csv(outdir / "indicators.csv", indicators)
     unconverged = [t for t, report in enumerate(reports) if not report.converged]
     return {"n_windows": len(L_seq), "wall_time_s": wall, "converged": not unconverged,
-            "unconverged_windows": unconverged}
+            "unconverged_windows": unconverged, "iterations": sum(report.iterations for report in reports)}
 
 
 def cmd_backtest(r: dict, outdir: Path) -> dict:

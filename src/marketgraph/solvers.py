@@ -224,7 +224,7 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
 _GLL_MEMORY = 10
 
 
-def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
+def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = None):
     """Projected gradient over the nonnegative orthant with BB steps.
 
     ``fun(w)`` returns ``(value, grad)``, where ``grad()`` computes the
@@ -262,20 +262,27 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
     ``test_mle_of_a_rescaled_correlation_is_the_rescaled_mle`` in
     ``tests/test_solvers.py`` pins this.
 
-    Returns ``(w, f, g, iterations, converged, trace)``.
+    The first trial step is ``step`` when given, else ``1 / max(1,
+    max|g0|)``.  A caller solving a sequence of similar problems passes the
+    step the previous call returned: that BB step has already measured the
+    curvature, where the default only guesses it from the gradient's size.
+
+    Returns ``(w, f, g, iterations, converged, trace, step)``, where
+    ``step`` is the BB step the next iteration would have opened with.
     """
     w = np.asarray(w0, dtype=float).copy()
     f, grad = fun(w)
     g = grad() if math.isfinite(f) else None
     if g is None:
         raise ValueError("infeasible starting point for projected gradient")
-    step = 1.0 / max(1.0, float(np.abs(g).max()))
+    if step is None:
+        step = 1.0 / max(1.0, float(np.abs(g).max()))
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
     trace = [f]
     for it in range(1, max_iter + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if np.abs(resid).max() <= eff_tol:
-            return w, f, g, it - 1, True, trace
+            return w, f, g, it - 1, True, trace, step
         t = step
         f_ref = max(trace[-_GLL_MEMORY:])
         accepted = False
@@ -296,7 +303,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
                     break
             t *= 0.5
         if not accepted:
-            return w, f, g, it, False, trace
+            return w, f, g, it, False, trace, step
         s = w_new - w
         y = g_new - g
         sy = float(s @ y)
@@ -304,7 +311,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int):
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
         trace.append(f)
-    return w, f, g, max_iter, False, trace
+    return w, f, g, max_iter, False, trace, step
 
 
 def _report(L, iterations, trace, converged, degree=None, degenerate=False) -> SolveReport:
@@ -362,7 +369,7 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None):
         return f, lambda: z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w
 
     w0 = np.full(pair_count(p), 1.0 / (p - 1))
-    w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
+    w, _, _, iters, conv, trace, _ = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
     L = laplacian_from_weights(w, p)
     return L, _report(L, iters, trace, conv)
 
@@ -448,7 +455,7 @@ def solve_l_subproblem(
     for _ in range(_MAX_OUTER_ITERS):
         fun = _likelihood(p, [c], N, dual=y, rho=rho)
         tol = max(cfg.inner_tol, min(_AL_TOL_CAP, _AL_TOL_RATIO * prev_res))
-        w, _, _, iters, conv_inner, _ = _spg(fun, w, tol, _INNER_MAX_ITERS)
+        w, _, _, iters, conv_inner, _, _ = _spg(fun, w, tol, _INNER_MAX_ITERS)
         total_iters += iters
         r = degrees_from_weights(w, p) - 1.0
         res = float(np.abs(r).max())
@@ -566,10 +573,16 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
 
     with graphs before the window frozen at their stored estimates.  It is
     jointly convex, and one SPG call over the window's stacked weights
-    solves it, warm-started from the stored estimates (the newest graph
-    from the previous one).  Only data up to and including t is touched,
-    so the output is a causal sequence: running on a prefix reproduces the
-    prefix bit for bit.
+    solves it, warm-started from the stored estimates.  The newest graph
+    starts where the sequence is heading: for ``delta > 0`` and ``t >= 2``
+    at ``max(2 w_{t-1} - w_{t-2}, w_{t-1} / 2)``, the linear extrapolation
+    of the last two estimates, floored at half of ``w_{t-1}`` so that every
+    edge of ``w_{t-1}`` stays and ``L + 11^T/p`` is PD; otherwise (the first
+    two windows, or ``delta = 0``, where the windows are independent MLEs)
+    at ``w_{t-1}``.  From ``t = 1`` on, each SPG call opens with the last
+    BB step of the call before.  Both read only past estimates, so only
+    data up to and including t is touched and the output is a causal
+    sequence: running on a prefix reproduces the prefix bit for bit.
 
     ``memory=1`` (the default) keeps only the coupling to the previous
     estimate; ``memory=T`` recovers the full joint program at O(T^2) cost.
@@ -598,18 +611,21 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     # the MLE's cost vectors: ||L||_off,1 = 2 sum(w)
     cs = [laplacian_adjoint(St) + 2.0 * cfg.alpha for St in mats]
 
-    estimates, reports = [], []
+    estimates, reports, step = [], [], None
     weight_hist = [np.full(m, 1.0 / (p - 1))]  # [s + 1] holds graph s; [0] the uniform start
 
     for t in range(len(mats)):
         # delta = 0 decouples the blocks, and the older ones are solved already
         a = max(0, t - cfg.memory + 1) if cfg.delta > 0 else t
-        w0 = np.concatenate(weight_hist[a + 1 : t + 1] + weight_hist[t : t + 1])
+        start = weight_hist[t]
+        if cfg.delta > 0 and t >= 2:
+            start = np.maximum(2.0 * weight_hist[t] - weight_hist[t - 1], 0.5 * weight_hist[t])
+        w0 = np.concatenate(weight_hist[a + 1 : t + 1] + [start])
         # the window objective divided by n_t: for one block the static-solver scale
         scales = [n / n_seq[t] for n in n_seq[a : t + 1]]
         anchor = estimates[a - 1] if a > 0 else None
         fun = _likelihood(p, cs[a : t + 1], J, scales, anchor, cfg.delta / n_seq[t])
-        w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
+        w, _, _, iters, conv, trace, step = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS, step=step)
         L = laplacian_from_weights(w[-m:], p)
         weight_hist.append(w[-m:])
         estimates.append(L)

@@ -69,7 +69,7 @@ def bitwise_equal(a, b) -> bool:
     )
 
 
-def eager_spg(fun, w0, tol, max_iter):
+def eager_spg(fun, w0, tol, max_iter, step=None):
     """``marketgraph.solvers._spg`` with the gradient computed on every call.
 
     ``fun(w)`` returns ``(value, grad)`` as for the solvers' kernel, but
@@ -90,13 +90,14 @@ def eager_spg(fun, w0, tol, max_iter):
     f, g = evaluate(w)
     if not np.isfinite(f):
         raise ValueError("infeasible starting point for projected gradient")
-    step = 1.0 / max(1.0, float(np.abs(g).max()))
+    if step is None:
+        step = 1.0 / max(1.0, float(np.abs(g).max()))
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
     trace = [f]
     for it in range(1, max_iter + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if np.abs(resid).max() <= eff_tol:
-            return w, f, g, it - 1, True, trace
+            return w, f, g, it - 1, True, trace, step
         t = step
         f_ref = max(trace[-10:])
         accepted = False
@@ -113,7 +114,7 @@ def eager_spg(fun, w0, tol, max_iter):
                 break
             t *= 0.5
         if not accepted:
-            return w, f, g, it, False, trace
+            return w, f, g, it, False, trace, step
         s = w_new - w
         y = g_new - g
         sy = float(s @ y)
@@ -121,4 +122,4 @@ def eager_spg(fun, w0, tol, max_iter):
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
         trace.append(f)
-    return w, f, g, max_iter, False, trace
+    return w, f, g, max_iter, False, trace, step

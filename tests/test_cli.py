@@ -653,6 +653,24 @@ def test_config_file_and_flag_precedence(tmp_path, tv_run):
     assert json.loads((out3 / "meta.json").read_text())["config"]["seed"] == 42
 
 
+def test_config_value_keeps_a_hash(tmp_path, tv_run):
+    # only a line whose first non-blank character is "#" is a comment
+    data, run = tv_run
+    indicators = tmp_path / "a#b" / "indicators.csv"
+    indicators.parent.mkdir()
+    indicators.write_bytes((run / "indicators.csv").read_bytes())
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"# stored run\n  # tau = 7\nindicators = {indicators}\n")
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--indicators", str(indicators),
+                 "--output-dir", str(by_flag)]) == EXIT_OK
+    assert main(["backtest", "--input", str(data / "prices.csv"), "--config", str(cfgfile),
+                 "--output-dir", str(by_config)]) == EXIT_OK
+    meta = json.loads((by_config / "meta.json").read_text())
+    assert meta["config"]["indicators"] == str(indicators) and meta["config"]["tau"] == 1.0
+    assert (by_config / "pnl.csv").read_bytes() == (by_flag / "pnl.csv").read_bytes()
+
+
 def test_unknown_config_key_fails(tmp_path, gmrf_prices, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("no_such_key = 1\n")
@@ -1084,7 +1102,7 @@ _META_HEAD = ["command", "version", "config"]
 META_KEYS = {
     "learn --input {gmrf}": ["converged", "iterations", "objective", "constraint_residuals",
                              "nullity", "n_edges", "wall_time_s"],
-    "learn-tv --input {tv}": ["n_windows", "wall_time_s", "converged", "unconverged_windows"],
+    "learn-tv --input {tv}": ["n_windows", "wall_time_s", "converged", "unconverged_windows", "iterations"],
     "backtest --input {tv} --indicators {indicators}": ["converged", "final_s1", "final_s2",
                                                         "days_invested"],
     "synth": ["planted_nullity", "k_true", "converged", "n_price_rows"],

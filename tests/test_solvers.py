@@ -633,11 +633,46 @@ def test_tv_solves_each_window_with_one_spg_call(monkeypatch, memory, delta):
     assert len(traces) == 5
 
 
+@pytest.mark.parametrize("memory, delta", [(1, 100.0), (2, 20.0), (1, 0.0), (3, 0.0)])
+def test_tv_windows_start_from_the_extrapolated_estimate_and_the_last_step(monkeypatch, memory, delta):
+    # coupled windows start the newest graph at max(2 w_{t-1} - w_{t-2}, w_{t-1}/2)
+    # from t = 2 on, uncoupled ones at w_{t-1}; older blocks keep their stored
+    # estimates, and every call after the first opens with the step the one
+    # before returned
+    seqs, ns = _similarity_sequence(6, p=6, seed=6, level=lambda t: 0.1 + 0.07 * t)
+    m = 15
+    calls = []
+    spg = solvers._spg
+
+    def recording(fun, w0, tol, max_iter, step=None):
+        out = spg(fun, w0, tol, max_iter, step=step)
+        calls.append((w0.copy(), step, out[0][-m:], out[6]))
+        return out
+
+    monkeypatch.setattr(solvers, "_spg", recording)
+    learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=memory))
+    assert len(calls) == 6 and calls[0][1] is None
+    w_hist = [np.full(m, 1.0 / 5)] + [w for _, _, w, _ in calls]  # [s + 1] holds graph s
+    for t, (w0, step, _, _) in enumerate(calls):
+        *older, newest = np.split(w0, len(w0) // m)
+        if delta > 0 and t >= 2:
+            assert bitwise_equal(newest, np.maximum(2 * w_hist[t] - w_hist[t - 1], 0.5 * w_hist[t]))
+        else:
+            assert bitwise_equal(newest, w_hist[t])
+        assert len(older) == (min(memory, t + 1) - 1 if delta > 0 else 0)
+        for s, block in enumerate(older, start=t - len(older)):
+            assert bitwise_equal(block, w_hist[s + 1])
+        if t:
+            assert step == calls[t - 1][3]
+
+
 def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
     # 41 stride-1 windows of 30 rows at p=20 across a correlation regime
     # change.  A monotone Armijo search stalls at the rounding floor here: 5
     # windows give up after 60 halvings, and the panel takes 7,392 objective
-    # evaluations.  The nonmonotone search takes about 1,900.
+    # evaluations.  The nonmonotone search takes about 1,900, and about 1,500
+    # with each window started at the extrapolated estimate and the last BB
+    # step of the window before.
     returns = simulate_factor_market(20, 70, regimes=((35, 0.1), (35, 0.8)), seed=3).returns.returns
     S_seq = [np.corrcoef(returns[s : s + 30], rowvar=False) for s in range(41)]
     evaluations = []
@@ -655,7 +690,7 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
     monkeypatch.setattr(solvers, "_likelihood", counted_likelihood)
     _, reports = learn_time_varying(S_seq, [30] * 41, SolverConfig())
     assert len(reports) == 41 and all(r.converged for r in reports)
-    assert len(evaluations) <= 3000
+    assert len(evaluations) <= 1600
 
 
 def _joint_program(seqs, ns, delta):
@@ -735,7 +770,7 @@ def _traced_spg(monkeypatch):
 
     def recording(*args, **kwargs):
         out = spg(*args, **kwargs)
-        traces.append(np.asarray(out[-1]))
+        traces.append(np.asarray(out[5]))
         return out
 
     monkeypatch.setattr(solvers, "_spg", recording)
@@ -896,12 +931,12 @@ def test_spg_backtracks_when_an_accepted_trial_has_no_gradient():
     # from w=0 the first trial is w=1 (step 1/4 along -g=4), which passes
     # Armijo; without its gradient the line search must halve to w=0.5
     fun, calls = _toy_quadratic()
-    w, _, _, _, conv, trace = solvers._spg(fun, np.zeros(1), 1e-10, 100)
+    w, _, _, _, conv, trace, _ = solvers._spg(fun, np.zeros(1), 1e-10, 100)
     assert calls["fun"][:2] == [0.0, 1.0] and trace[1] == 4.5
     assert conv and w[0] == pytest.approx(4.0)
 
     fun, calls = _toy_quadratic(bad_point=1.0)
-    w, _, _, _, conv, trace = solvers._spg(fun, np.zeros(1), 1e-10, 100)
+    w, _, _, _, conv, trace, _ = solvers._spg(fun, np.zeros(1), 1e-10, 100)
     assert calls["fun"][:3] == [0.0, 1.0, 0.5]
     assert calls["grad"][:3] == [0.0, 1.0, 0.5]
     assert trace[1] == 0.5 * 3.5**2
@@ -935,7 +970,7 @@ def test_spg_stops_when_the_line_search_runs_out_of_halvings():
             return 1.0, lambda: np.ones(3)
         return np.inf, None
 
-    w, f, _, iters, conv, trace = solvers._spg(fun, w0, 1e-7, 100)
+    w, f, _, iters, conv, trace, _ = solvers._spg(fun, w0, 1e-7, 100)
     assert conv is False and iters == 1 and trace == [1.0]
     assert np.array_equal(w, w0) and f == 1.0
 
@@ -946,7 +981,7 @@ def test_spg_stops_at_max_iter():
     def fun(w):
         return 0.5 * float(a @ (w - b) ** 2), lambda: a * (w - b)
 
-    _, f, _, iters, conv, trace = solvers._spg(fun, np.full(3, 5.0), 1e-12, 3)
+    _, f, _, iters, conv, trace, _ = solvers._spg(fun, np.full(3, 5.0), 1e-12, 3)
     assert conv is False and iters == 3
     assert len(trace) == 4 and trace[-1] == f  # the start and one entry per accepted step
 
