@@ -17,7 +17,6 @@ from .laplacian import (
     DisconnectedGraphWarning,
     SpectralSummary,
     laplacian_from_weights,
-    log_gdet,
     num_components,
     spectral_summary,
     time_consistency,
@@ -80,7 +79,6 @@ __all__ = [
     "learn_k_component",
     "learn_smooth_graph",
     "learn_time_varying",
-    "log_gdet",
     "log_returns",
     "normalize_columns",
     "num_components",

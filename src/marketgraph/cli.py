@@ -228,7 +228,16 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
 
 
 def write_matrix_csv(path, M: np.ndarray, labels) -> None:
-    _write_rows(path, labels, ([_fmt(v) for v in row] for row in np.asarray(M)))
+    """The bytes ``_write_rows`` writes with ``_fmt`` cells, one format pass per row.
+
+    A number cell never needs quoting, and ``"%.17g" % x`` is ``_fmt(x)``;
+    ``\\r\\n`` is csv.writer's line end.
+    """
+    M = np.asarray(M, dtype=float)
+    row_format = ",".join(["%.17g"] * M.shape[1]) + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(labels)
+        fh.writelines(row_format % tuple(row) for row in M.tolist())
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -445,6 +454,7 @@ def cmd_learn(r: dict, outdir: Path) -> dict:
         "constraint_residuals": dict(report.constraint_residuals),
         "nullity": num_components(L),
         "n_edges": n_edges,
+        "eigengap_degenerate": bool(report.eigengap_degenerate),
         "wall_time_s": wall,
     }
 

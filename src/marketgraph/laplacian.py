@@ -18,7 +18,6 @@ components.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +31,6 @@ __all__ = [
     "edge_indices",
     "laplacian_adjoint",
     "laplacian_from_weights",
-    "log_gdet",
     "node_count",
     "num_components",
     "pair_count",
@@ -107,11 +105,12 @@ def laplacian_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
         p = node_count(w.shape[0])
     elif w.shape[0] != pair_count(p):
         raise ValueError(f"weight vector length {w.shape[0]} does not match p={p}")
-    L = np.zeros(p * p)
-    L[_pairs(p).upper] = -w
-    L = L.reshape(p, p)
+    flat = np.zeros(p * p)
+    flat[_pairs(p).upper] = -w
+    L = flat.reshape(p, p)
+    # mirror, not a write of -w into the lower triangle: a zero weight stays +0.0
     L += L.T
-    np.fill_diagonal(L, -L.sum(axis=1))
+    flat[:: p + 1] = -L.sum(axis=1)
     return L
 
 
@@ -208,27 +207,6 @@ def spectral_summary(L: np.ndarray) -> SpectralSummary:
 def num_components(L: np.ndarray) -> int:
     """Number of graph components: the count of eigenvalues <= 1e-8 * max(1, lambda_max)."""
     return spectral_summary(L).nullity
-
-
-def log_gdet(L: np.ndarray) -> float:
-    """Log pseudo-determinant: sum of logs of the eigenvalues above 1e-8 * max(1, lambda_max).
-
-    For a connected graph this equals log det(L + (1/p) 11^T) because the
-    rank-one correction fills exactly the constant-vector null direction
-    and leaves all other eigenvalues untouched.  A disconnected input
-    (nullity > 1) is signalled with :class:`DisconnectedGraphWarning`; the
-    caller decides whether that is fatal.
-    """
-    spec = spectral_summary(L)
-    if spec.nullity > 1:
-        warnings.warn(
-            f"graph has {spec.nullity} components; pseudo-determinant taken over "
-            "positive eigenvalues only",
-            DisconnectedGraphWarning,
-            stacklevel=2,
-        )
-    # ascending spectrum: the entries past the nullity are those above the tolerance
-    return float(np.sum(np.log(spec.eigenvalues[spec.nullity:])))
 
 
 def time_consistency(L_a: np.ndarray, L_b: np.ndarray) -> float:

@@ -163,7 +163,7 @@ def _chol_logdet(A: np.ndarray) -> float | None:
         C = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
-    return 2.0 * float(np.sum(np.log(np.diag(C))))
+    return 2.0 * float(np.log(C.diagonal()).sum())
 
 
 def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, rho=0.0):
@@ -198,7 +198,7 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
             # not f += ...: the order of this sum is part of the results
             f = f + float(dual @ r) + 0.5 * rho * float(r @ r)
         for D in diffs:
-            f += coupling * float(np.sum(D * D))
+            f += coupling * float((D * D).sum())
 
         def grad():
             try:
@@ -213,7 +213,7 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
                 G[j] += gD
                 if j > 0:
                     G[j - 1] -= gD
-            return np.concatenate(G)
+            return G[0] if len(G) == 1 else np.concatenate(G)
 
         return f, grad
 
@@ -289,12 +289,12 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
         for _ in range(60):
             w_new = np.maximum(w - t * g, 0.0)
             dw = w_new - w
-            if not dw.any():
+            gd = float(g @ dw)
+            if gd == 0.0 and not dw.any():  # a nonzero gd already means dw != 0
                 # projection is a fixed point; KKT residual already above tol
                 # cannot occur unless t underflowed, so shrink and retry
                 t *= 0.5
                 continue
-            gd = float(g @ dw)
             f_new, grad = fun(w_new)
             if math.isfinite(f_new) and f_new <= f_ref + 1e-4 * gd:
                 g_new = grad()
@@ -304,10 +304,9 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
             t *= 0.5
         if not accepted:
             return w, f, g, it, False, trace, step
-        s = w_new - w
-        y = g_new - g
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-16 else step * 2.0
+        y = g_new - g  # the BB pair (s, y) with s = dw
+        sy = float(dw @ y)
+        step = float(dw @ dw) / sy if sy > 1e-16 else step * 2.0
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
         trace.append(f)

@@ -3,12 +3,15 @@
 The weight-space operators are the plain ``np.triu_indices`` /
 ``np.add.at`` formulas behind the cached operators in
 ``marketgraph.laplacian``; ``eager_spg`` is the projected-gradient kernel
-with the gradient computed at every objective evaluation.
+with the gradient computed at every objective evaluation.  ``log_gdet`` is
+the eigenvalue oracle of the ``log det(L + 11^T/p)`` the solvers evaluate.
 """
+
+import warnings
 
 import numpy as np
 
-from marketgraph.laplacian import node_count
+from marketgraph.laplacian import DisconnectedGraphWarning, node_count, spectral_summary
 
 
 def pair_indices(p):
@@ -48,6 +51,26 @@ def dual_to_pairs(v):
     v = np.asarray(v, dtype=float)
     iu, ju = np.triu_indices(v.shape[0], k=1)
     return v[iu] + v[ju]
+
+
+def log_gdet(L):
+    """Log pseudo-determinant: sum of logs of the eigenvalues above 1e-8 * max(1, lambda_max).
+
+    For a connected graph this equals log det(L + (1/p) 11^T) because the
+    rank-one correction fills exactly the constant-vector null direction
+    and leaves all other eigenvalues untouched.  A disconnected input
+    (nullity > 1) is signalled with :class:`DisconnectedGraphWarning`.
+    """
+    spec = spectral_summary(L)
+    if spec.nullity > 1:
+        warnings.warn(
+            f"graph has {spec.nullity} components; pseudo-determinant taken over "
+            "positive eigenvalues only",
+            DisconnectedGraphWarning,
+            stacklevel=2,
+        )
+    # ascending spectrum: the entries past the nullity are those above the tolerance
+    return float(np.sum(np.log(spec.eigenvalues[spec.nullity:])))
 
 
 OPERATORS = {

@@ -144,6 +144,25 @@ def test_matrix_csv_roundtrip_is_lossless(tmp_path):
     assert labels == tuple(f"T{i}" for i in range(6))
 
 
+def test_matrix_csv_is_the_bytes_of_csv_writer_and_fmt(tmp_path):
+    import io
+
+    from marketgraph.cli import _fmt
+
+    M = np.array([[-0.0, 0.0, 5e-324],
+                  [1e16, 1 / 3, -1.7976931348623157e308],
+                  [0.0, -0.0, 1 / 3]])
+    labels = ["A,B", "C", "D"]
+    expected = io.StringIO(newline="")
+    out = csv.writer(expected)
+    out.writerow(labels)
+    out.writerows([_fmt(v) for v in row] for row in M)
+    f = tmp_path / "m.csv"
+    write_matrix_csv(f, M, labels)
+    assert f.read_bytes() == expected.getvalue().encode("utf-8")
+    assert f.read_bytes().startswith(b'"A,B",C,D\r\n-0,0,4.9406564584124654e-324\r\n')
+
+
 # --- synth -----------------------------------------------------------------------
 
 def test_synth_gmrf_writes_truth_and_is_deterministic(tmp_path):
@@ -1101,7 +1120,7 @@ def test_the_output_directory_is_made_before_the_input_is_read(tmp_path, capsys,
 _META_HEAD = ["command", "version", "config"]
 META_KEYS = {
     "learn --input {gmrf}": ["converged", "iterations", "objective", "constraint_residuals",
-                             "nullity", "n_edges", "wall_time_s"],
+                             "nullity", "n_edges", "eigengap_degenerate", "wall_time_s"],
     "learn-tv --input {tv}": ["n_windows", "wall_time_s", "converged", "unconverged_windows", "iterations"],
     "backtest --input {tv} --indicators {indicators}": ["converged", "final_s1", "final_s2",
                                                         "days_invested"],

@@ -7,7 +7,6 @@ from marketgraph.laplacian import (
     dual_to_pairs,
     laplacian_adjoint,
     laplacian_from_weights,
-    log_gdet,
     node_count,
     num_components,
     pair_count,
@@ -19,7 +18,7 @@ from marketgraph.laplacian import (
 )
 from marketgraph.synthetic import random_k_component_graph, score_recovery
 import reference_ops as ref
-from reference_ops import bitwise_equal
+from reference_ops import bitwise_equal, log_gdet
 
 
 def union_find_components(w, p):
@@ -71,6 +70,22 @@ def test_laplacian_from_weights_examples():
     assert np.array_equal(laplacian_from_weights(np.zeros(3)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="does not match p=3"):
         laplacian_from_weights(np.ones(2), 3)
+
+
+def test_laplacian_from_weights_is_the_reference_build_bitwise():
+    # the reference scatters into zeros, mirrors with L += L.T and fills the
+    # diagonal with np.fill_diagonal; a zero weight must stay +0.0 off the
+    # diagonal (a CSV cell "0", not "-0")
+    rng = np.random.default_rng(4)
+    for p in (2, 3, 20):
+        m = pair_count(p)
+        off_diagonal = ~np.eye(p, dtype=bool)
+        signed_zeros = np.where(np.arange(m) % 2 == 0, 0.0, -0.0)
+        for w in (np.zeros(m), signed_zeros, random_weights(rng, p), random_weights(rng, p, density=0.2)):
+            w[0] = 0.0  # an exact zero in every case
+            L = laplacian_from_weights(w)
+            assert bitwise_equal(L, ref.laplacian_from_weights(w))
+            assert not np.signbit(L[off_diagonal & (L == 0.0)]).any()
 
 
 def test_weights_from_laplacian_examples():
