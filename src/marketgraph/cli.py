@@ -149,11 +149,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _dated_rows(dates, values):
-    """Rows ``date, v_1, ..., v_m`` of a dated series (``values`` is n x m)."""
-    return ([d.isoformat(), *map(_fmt, row)] for d, row in zip(dates, values))
-
-
 def _price(path, rn: int, cell: str, ticker: str) -> float:
     """One price cell, NaN when blank; a bad or non-positive price exits naming its row and column."""
     v = _parse_cell(path, rn, cell, "number", ticker) if cell.strip() else math.nan
@@ -227,17 +222,26 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     return PricePanel(dates=tuple(dates), tickers=tickers, prices=np.array(kept, dtype=float))
 
 
-def write_matrix_csv(path, M: np.ndarray, labels) -> None:
+def _write_number_rows(path, header, values, dates=None) -> None:
     """The bytes ``_write_rows`` writes with ``_fmt`` cells, one format pass per row.
 
-    A number cell never needs quoting, and ``"%.17g" % x`` is ``_fmt(x)``;
-    ``\\r\\n`` is csv.writer's line end.
+    Each row of ``values`` becomes one line, after its date when ``dates``
+    is given.  Neither a number nor an ISO date ever needs quoting,
+    ``"%.17g" % x`` is ``_fmt(x)``, and ``\\r\\n`` is csv.writer's line end.
     """
-    M = np.asarray(M, dtype=float)
-    row_format = ",".join(["%.17g"] * M.shape[1]) + "\r\n"
+    values = np.asarray(values, dtype=float)
+    row_format = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+    lines = (row_format % tuple(row) for row in values.tolist())
+    if dates is not None:
+        lines = (f"{d.isoformat()},{line}" for d, line in zip(dates, lines))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(labels)
-        fh.writelines(row_format % tuple(row) for row in M.tolist())
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
+
+
+def write_matrix_csv(path, M: np.ndarray, labels) -> None:
+    """``labels`` as the header row, then one row per row of ``M``."""
+    _write_number_rows(path, labels, M)
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -492,7 +496,7 @@ def cmd_backtest(r: dict, outdir: Path) -> dict:
     s2 = strategy_s2(returns, indicators, tau=r["tau"], invert=r["invert_gate"])
     pnl = np.column_stack([s1.cumulative_pnl, s2.cumulative_pnl, s2.positions])
     header = ["date", "s1_cum", "s2_cum", "position"]
-    _write_rows(outdir / "pnl.csv", header, _dated_rows(returns.dates, pnl))
+    _write_number_rows(outdir / "pnl.csv", header, pnl, returns.dates)
     return {
         "converged": True,  # no solver ran
         "final_s1": float(s1.cumulative_pnl[-1]),
@@ -543,16 +547,16 @@ def cmd_synth(r: dict, outdir: Path) -> dict:
             ["first_row", "residual_correlation"],
             ([b, _fmt(level)] for b, level in zip(boundaries, sim.regime_levels)),
         )
-        market = _dated_rows(returns.dates, sim.market[:, None])
-        _write_rows(outdir / "market.csv", ["date", "market_return"], market)
+        _write_number_rows(outdir / "market.csv", ["date", "market_return"], sim.market[:, None],
+                           returns.dates)
         extra = {"regimes": r["regimes"]}
 
     # returns.csv plus a price panel reproducing those returns under log_returns
     header = ["date", *returns.tickers]
-    _write_rows(outdir / "returns.csv", header, _dated_rows(returns.dates, returns.returns))
+    _write_number_rows(outdir / "returns.csv", header, returns.returns, returns.dates)
     prices = 100.0 * np.exp(np.vstack([np.zeros(p), np.cumsum(returns.returns, axis=0)]))
     price_dates = (returns.dates[0] - datetime.timedelta(days=1),) + returns.dates
-    _write_rows(outdir / "prices.csv", header, _dated_rows(price_dates, prices))
+    _write_number_rows(outdir / "prices.csv", header, prices, price_dates)
 
     return {**extra, "converged": True, "n_price_rows": len(price_dates)}
 

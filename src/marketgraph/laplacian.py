@@ -110,7 +110,7 @@ def laplacian_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
     L = flat.reshape(p, p)
     # mirror, not a write of -w into the lower triangle: a zero weight stays +0.0
     L += L.T
-    flat[:: p + 1] = -L.sum(axis=1)
+    flat[:: p + 1] = 0.0 - L.sum(axis=1)  # not -sum: an edgeless node's degree is +0.0
     return L
 
 

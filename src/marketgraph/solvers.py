@@ -14,7 +14,8 @@ Four entry points:
 All solvers optimize over the nonnegative edge-weight vector, so symmetry,
 zero row sums and the off-diagonal sign constraint hold by construction;
 the only inequality left is w >= 0, handled by a spectral projected
-gradient (SPG) kernel with a nonmonotone Armijo line search.  Degree
+gradient (SPG) kernel with a nonmonotone Armijo line search, which steps
+in the metric of a model Hessian when the objective supplies one.  Degree
 equality constraints are enforced by an augmented Lagrangian around that
 kernel, whose dual rounds run SPG only as tightly as the current degree
 residual warrants and end on a round at the full tolerance.
@@ -176,6 +177,17 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
     ``coupling`` is nonzero.  ``grad()`` inverts each ``L(w_b) + N`` once,
     applies the adjoints and adds the penalty gradients; it returns None
     when ``inv`` fails.
+
+    For one block ``grad()`` returns ``(g, h, beta)``: with the model
+    Hessian ``P = diag(h) + beta B^T B`` (B the p-by-m degree operator)
+    :func:`_spg` steps along ``P^{-1} g``.  In weight space the coupling's
+    Hessian is ``4 kappa I + 2 kappa B^T B`` (kappa = ``coupling``, when an
+    ``anchor`` makes the term) and the AL term's ``rho B^T B``, so the model
+    is exact on both; of ``-log det(L + N)`` it keeps the diagonal
+    ``(a_e^T inv(L + N) a_e)^2``, whose root is the adjoint entry the
+    gradient already holds.  Hence ``h = s R*R + 4 kappa`` and ``beta =
+    2 kappa + rho``.  A window of several blocks returns its bare gradient,
+    and SPG keeps the unit metric there.
     """
     m = len(cs[0])
 
@@ -202,10 +214,10 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
 
         def grad():
             try:
-                G = [scale * (c - laplacian_adjoint(np.linalg.inv(A)))
-                     for c, scale, A in zip(cs, scales, As)]
+                R = [laplacian_adjoint(np.linalg.inv(A)) for A in As]  # R_e = a_e^T inv(A) a_e
             except np.linalg.LinAlgError:
                 return None
+            G = [scale * (c - Rb) for c, scale, Rb in zip(cs, scales, R)]
             if dual is not None:
                 G[0] += dual_to_pairs(dual + rho * r)
             for j, D in enumerate(diffs, start=len(As) - len(diffs)):  # D = L_j - L_{j-1}
@@ -213,7 +225,15 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
                 G[j] += gD
                 if j > 0:
                     G[j - 1] -= gD
-            return G[0] if len(G) == 1 else np.concatenate(G)
+            if len(G) > 1:
+                return np.concatenate(G)
+            # one block: the model Hessian diag(h) + beta B^T B of the docstring
+            kappa = coupling if diffs else 0.0
+            h = scales[0] * R[0] * R[0] + 4.0 * kappa
+            if not h.min() > 0.0:  # R_e cancelled to 0: L + N is numerically singular here
+                return None
+            beta = 2.0 * kappa + (rho if dual is not None else 0.0)
+            return G[0], h, beta
 
         return f, grad
 
@@ -225,7 +245,7 @@ _GLL_MEMORY = 10
 
 
 def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = None):
-    """Projected gradient over the nonnegative orthant with BB steps.
+    """Projected gradient over the nonnegative orthant with BB steps in a model metric.
 
     ``fun(w)`` returns ``(value, grad)``, where ``grad()`` computes the
     gradient at ``w`` or returns None where it cannot; a value of +inf marks
@@ -234,6 +254,22 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
     passes the test.  A None there rejects the trial just as an infeasible
     value does (the line search backs off), so the iterates are the same
     floats as with a gradient computed on every call.
+
+    ``grad()`` returns either the bare gradient ``g`` or ``(g, h, beta)``,
+    the gradient with a model Hessian ``P = diag(h) + beta B^T B`` (see
+    :func:`_likelihood`).  The step is then the two-metric scaled gradient
+    projection (Bertsekas 1982; Bonettini, Zanella & Zanni 2009): on the
+    active set (``w = 0`` and ``g > 0``) the direction is ``d = g / h``, on
+    the free set F it is ``P_FF^{-1} g_F``, one p-by-p Woodbury solve
+    (:func:`_model_direction`), and a trial is ``max(w - t d, 0)``.  A trial
+    that is no descent step (``g @ (w_new - w) > 0``) is halved without an
+    evaluation.  The BB step is measured in the model metric at the new
+    point, ``s^T P s / s^T y``.  Where the coupling dominates the log-det
+    curvature, as in the rolling ``learn-tv`` windows, the unit metric is
+    badly conditioned: on the benchmark's 400 such windows the model cut
+    the SPG iterations 12,468 -> 1,939.  A bare gradient is its own
+    direction with ``P s = s``: the unscaled SPG, as the smooth baseline
+    and the multi-block ``learn-tv`` windows run it.
 
     The line search is nonmonotone (Grippo, Lampariello & Lucidi 1986), as
     in the SPG of Birgin, Martinez & Raydan (2000): a trial passes the
@@ -250,7 +286,8 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
     M = 1 is the monotone search.  M = 10 is Birgin et al.'s value, and on
     a 200-window p=20 rolling panel it is where the gain levels off: M = 1,
     2, 5, 10, 20 took 27,040, 10,274, 9,228, 9,008 and 8,995 objective
-    evaluations, and only M = 1 left windows unconverged (12 of 200).
+    evaluations with the unit metric, and only M = 1 left windows
+    unconverged (12 of 200).
 
     Terminates when the KKT residual -- the gradient on free coordinates,
     clipped to its negative part on active ones -- falls below
@@ -263,54 +300,85 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
     ``tests/test_solvers.py`` pins this.
 
     The first trial step is ``step`` when given, else ``1 / max(1,
-    max|g0|)``.  A caller solving a sequence of similar problems passes the
-    step the previous call returned: that BB step has already measured the
-    curvature, where the default only guesses it from the gradient's size.
+    max|d0|)`` with ``d0`` the first direction.  A caller solving a
+    sequence of similar problems passes the step the previous call
+    returned: that BB step has already measured the curvature, where the
+    default only guesses it from the direction's size.
 
     Returns ``(w, f, g, iterations, converged, trace, step)``, where
-    ``step`` is the BB step the next iteration would have opened with.
+    ``step`` is the BB step the next iteration would have opened with
+    (None when the start already met the stop and no ``step`` was given).
     """
     w = np.asarray(w0, dtype=float).copy()
     f, grad = fun(w)
-    g = grad() if math.isfinite(f) else None
-    if g is None:
+    out = grad() if math.isfinite(f) else None
+    if out is None:
         raise ValueError("infeasible starting point for projected gradient")
-    if step is None:
-        step = 1.0 / max(1.0, float(np.abs(g).max()))
+    g, h, beta = out if isinstance(out, tuple) else (out, None, 0.0)
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
     trace = [f]
     for it in range(1, max_iter + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if np.abs(resid).max() <= eff_tol:
             return w, f, g, it - 1, True, trace, step
+        d = _model_direction(w, g, h, beta)
+        if step is None:
+            step = 1.0 / max(1.0, float(np.abs(d).max()))
         t = step
         f_ref = max(trace[-_GLL_MEMORY:])
         accepted = False
         for _ in range(60):
-            w_new = np.maximum(w - t * g, 0.0)
+            w_new = np.maximum(w - t * d, 0.0)
             dw = w_new - w
             gd = float(g @ dw)
-            if gd == 0.0 and not dw.any():  # a nonzero gd already means dw != 0
-                # projection is a fixed point; KKT residual already above tol
-                # cannot occur unless t underflowed, so shrink and retry
+            if gd > 0.0 or (gd == 0.0 and not dw.any()):  # a nonzero gd already means dw != 0
+                # not a descent step, or the projection is a fixed point (the KKT
+                # residual is above tol, so only if t underflowed): shrink and retry
                 t *= 0.5
                 continue
             f_new, grad = fun(w_new)
             if math.isfinite(f_new) and f_new <= f_ref + 1e-4 * gd:
-                g_new = grad()
-                if g_new is not None:
+                out = grad()
+                if out is not None:
                     accepted = True
                     break
             t *= 0.5
         if not accepted:
             return w, f, g, it, False, trace, step
-        y = g_new - g  # the BB pair (s, y) with s = dw
-        sy = float(dw @ y)
-        step = float(dw @ dw) / sy if sy > 1e-16 else step * 2.0
+        g_new, h, beta = out if isinstance(out, tuple) else (out, None, 0.0)
+        # the BB pair (s, y) with s = dw, measured in the model metric at w_new
+        sy = float(dw @ (g_new - g))
+        ps = dw if h is None else h * dw  # P s
+        if beta:
+            ps = ps + beta * dual_to_pairs(degrees_from_weights(dw))
+        step = float(dw @ ps) / sy if sy > 1e-16 else step * 2.0
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
         trace.append(f)
     return w, f, g, max_iter, False, trace, step
+
+
+def _model_direction(w, g, h, beta):
+    """The SPG direction: ``P_FF^{-1} g_F`` on the free set F, ``g / h`` on the active set.
+
+    ``P = diag(h) + beta B^T B`` is the model Hessian a likelihood's ``grad()``
+    returns, B the p-by-m degree operator.  The active set holds the pairs
+    with ``w = 0`` and ``g > 0``.  On F, Woodbury turns the m-by-m solve
+    into a p-by-p one: with ``u = g / h`` and ``q = 1 / h`` on F (zero off
+    it), ``d = u - q (B^T z)`` where ``(I / beta + B diag(q) B^T) z = B u``.
+    A bare gradient (``h`` None) is its own direction.
+    """
+    if h is None:
+        return g
+    u = g / h
+    if not beta:
+        return u
+    active = (w == 0.0) & (g > 0.0)
+    q = np.where(active, 0.0, 1.0 / h)
+    Q = np.abs(laplacian_from_weights(q))  # B diag(q) B^T: degrees of q on the diagonal, q off it
+    Q.flat[:: len(Q) + 1] += 1.0 / beta
+    z = np.linalg.solve(Q, degrees_from_weights(np.where(active, 0.0, u)))
+    return u - q * dual_to_pairs(z)
 
 
 def _report(L, iterations, trace, converged, degree=None, degenerate=False) -> SolveReport:

@@ -25,7 +25,7 @@ def laplacian_from_weights(w, p=None):
     L = np.zeros((p, p))
     L[np.triu_indices(p, k=1)] = -w
     L += L.T
-    np.fill_diagonal(L, -L.sum(axis=1))
+    np.fill_diagonal(L, 0.0 - L.sum(axis=1))  # an edgeless node's 0.0, not -0.0
     return L
 
 
@@ -92,6 +92,21 @@ def bitwise_equal(a, b) -> bool:
     )
 
 
+def _model_direction(w, g, h, beta):
+    """The kernel's direction ``P_FF^{-1} g_F`` (free set F), ``g / h`` on the active set."""
+    if h is None:
+        return g
+    u = g / h
+    if not beta:
+        return u
+    active = (w == 0.0) & (g > 0.0)
+    q = np.where(active, 0.0, 1.0 / h)
+    Q = np.abs(laplacian_from_weights(q))  # B diag(q) B^T
+    Q.flat[:: len(Q) + 1] += 1.0 / beta
+    z = np.linalg.solve(Q, degrees_from_weights(np.where(active, 0.0, u)))
+    return u - q * dual_to_pairs(z)
+
+
 def eager_spg(fun, w0, tol, max_iter, step=None):
     """``marketgraph.solvers._spg`` with the gradient computed on every call.
 
@@ -99,49 +114,59 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
     here ``grad()`` runs right after every evaluation with a finite value,
     and a None from it turns the value into +inf.  That is the cost profile
     of an objective that returns its gradient eagerly; the iterates, values
-    and return tuple must be the kernel's bit for bit.
+    and return tuple must be the kernel's bit for bit.  A ``grad()`` that
+    returns ``(g, h, beta)`` sets the model metric ``diag(h) + beta B^T B``
+    of the direction and of the BB step; a bare gradient keeps the unit one.
     """
 
     def evaluate(w):
         f, grad = fun(w)
         if not np.isfinite(f):
             return np.inf, None
-        g = grad()
-        return (np.inf, None) if g is None else (f, g)
+        out = grad()
+        if out is None:
+            return np.inf, None
+        return f, (out if isinstance(out, tuple) else (out, None, 0.0))
 
     w = np.asarray(w0, dtype=float).copy()
-    f, g = evaluate(w)
+    f, model = evaluate(w)
     if not np.isfinite(f):
         raise ValueError("infeasible starting point for projected gradient")
-    if step is None:
-        step = 1.0 / max(1.0, float(np.abs(g).max()))
+    g, h, beta = model
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
     trace = [f]
     for it in range(1, max_iter + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if np.abs(resid).max() <= eff_tol:
             return w, f, g, it - 1, True, trace, step
+        d = _model_direction(w, g, h, beta)
+        if step is None:
+            step = 1.0 / max(1.0, float(np.abs(d).max()))
         t = step
         f_ref = max(trace[-10:])
         accepted = False
         for _ in range(60):
-            w_new = np.maximum(w - t * g, 0.0)
+            w_new = np.maximum(w - t * d, 0.0)
             dw = w_new - w
-            if not dw.any():
+            gd = float(g @ dw)
+            if gd > 0.0 or not dw.any():
                 t *= 0.5
                 continue
-            gd = float(g @ dw)
-            f_new, g_new = evaluate(w_new)
+            f_new, model = evaluate(w_new)
             if np.isfinite(f_new) and f_new <= f_ref + 1e-4 * gd:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             return w, f, g, it, False, trace, step
+        g_new, h, beta = model
         s = w_new - w
         y = g_new - g
         sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-16 else step * 2.0
+        Ps = s if h is None else h * s
+        if beta:
+            Ps = Ps + beta * dual_to_pairs(degrees_from_weights(s))
+        step = float(s @ Ps) / sy if sy > 1e-16 else step * 2.0
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
         trace.append(f)

@@ -163,6 +163,24 @@ def test_matrix_csv_is_the_bytes_of_csv_writer_and_fmt(tmp_path):
     assert f.read_bytes().startswith(b'"A,B",C,D\r\n-0,0,4.9406564584124654e-324\r\n')
 
 
+def test_dated_csv_is_the_bytes_of_csv_writer_and_fmt(tmp_path):
+    import io
+
+    from marketgraph.cli import _fmt, _write_number_rows
+
+    dates = (datetime.date(2020, 1, 1), datetime.date(2020, 1, 2), datetime.date(1999, 12, 31))
+    values = np.array([[-0.0, 0.0, 5e-324], [1e16, 1 / 3, -1.7976931348623157e308], [1.0, 0.0, -1 / 3]])
+    header = ["date", "A,B", "C", "D"]
+    expected = io.StringIO(newline="")
+    out = csv.writer(expected)
+    out.writerow(header)
+    out.writerows([d.isoformat(), *map(_fmt, row)] for d, row in zip(dates, values))
+    f = tmp_path / "dated.csv"
+    _write_number_rows(f, header, values, dates)
+    assert f.read_bytes() == expected.getvalue().encode("utf-8")
+    assert f.read_bytes().startswith(b'date,"A,B",C,D\r\n2020-01-01,-0,0,4.9406564584124654e-324\r\n')
+
+
 # --- synth -----------------------------------------------------------------------
 
 def test_synth_gmrf_writes_truth_and_is_deterministic(tmp_path):

@@ -88,6 +88,13 @@ def test_laplacian_from_weights_is_the_reference_build_bitwise():
             assert not np.signbit(L[off_diagonal & (L == 0.0)]).any()
 
 
+def test_an_edgeless_node_has_a_positive_zero_degree():
+    # the negated row sum of an edgeless node would be -0.0, a CSV cell "-0"
+    L = laplacian_from_weights(np.array([1.0, 0.0, 0.0]))
+    assert L[2, 2] == 0.0 and not np.signbit(L[2, 2])
+    assert not np.signbit(laplacian_from_weights(np.zeros(6))).any()
+
+
 def test_weights_from_laplacian_examples():
     assert np.array_equal(
         weights_from_laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]])), np.array([1.0])

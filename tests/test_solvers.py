@@ -74,7 +74,7 @@ def test_mle_scale_property():
 
 
 _SCALE_STOP = ("ROADMAP item 5: _spg stops at inner_tol * max(1, max|g0|), an absolute tolerance "
-               "on small-scale input, so at c = 1e-4 it reports convergence 1.9e-3 / 2.3e-3 away")
+               "on small-scale input, so at c = 1e-4 it reports convergence 1.1e-3 / 2.3e-3 away")
 
 
 @pytest.mark.parametrize("c", [1.0, pytest.param(1e-4, marks=pytest.mark.xfail(strict=True, reason=_SCALE_STOP))])
@@ -85,7 +85,7 @@ def test_mle_of_a_rescaled_correlation_is_the_rescaled_mle(p, c):
     exact, _ = learn_connected_mle(S, SolverConfig(inner_tol=1e-12))
     L, report = learn_connected_mle(c * S)
     assert report.converged
-    assert np.abs(c * L - exact).max() <= 1e-5 * np.abs(exact).max()  # 1.6e-7 at c = 1
+    assert np.abs(c * L - exact).max() <= 1e-5 * np.abs(exact).max()  # 1.1e-7 / 3.3e-7 at c = 1
 
 
 def test_mle_validates_input():
@@ -121,12 +121,6 @@ def test_mle_flags_disconnected_solution():
     validate_laplacian(L)
 
 
-_DISCONNECTION_STOP = ("ROADMAP items 3 and 5: the start gradient is about 1e8, so the stop "
-                       "inner_tol * max|g0| is 10 and SPG reports convergence after one iteration, "
-                       "with the in-cluster weight at 0.5")
-
-
-@pytest.mark.xfail(strict=True, reason=_DISCONNECTION_STOP)
 def test_mle_of_a_disconnecting_problem_reaches_the_optimum():
     import warnings as _warnings
 
@@ -134,7 +128,9 @@ def test_mle_of_a_disconnecting_problem_reaches_the_optimum():
 
     # the problem of test_mle_flags_disconnected_solution; a 1-D profile
     # search puts its optimum at in-cluster weight 2.5 (0.4 a - log a) with
-    # bridge weights 5.0e-9
+    # bridge weights 5.0e-9.  The start gradient is about 1e8, so the stop
+    # inner_tol * max|g0| is 10: SPG along the raw gradient stopped after
+    # one iteration at 0.5, and it takes the model metric to get here
     S = np.array(
         [
             [1.0, 0.8, -5e7],
@@ -699,7 +695,8 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
     # windows give up after 60 halvings, and the panel takes 7,392 objective
     # evaluations.  The nonmonotone search takes about 1,900, and about 1,500
     # with each window started at the extrapolated estimate and the last BB
-    # step of the window before.
+    # step of the window before.  Stepping in the model metric, exact on the
+    # coupling, takes about 300.
     returns = simulate_factor_market(20, 70, regimes=((35, 0.1), (35, 0.8)), seed=3).returns.returns
     S_seq = [np.corrcoef(returns[s : s + 30], rowvar=False) for s in range(41)]
     evaluations = []
@@ -717,7 +714,7 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
     monkeypatch.setattr(solvers, "_likelihood", counted_likelihood)
     _, reports = learn_time_varying(S_seq, [30] * 41, SolverConfig())
     assert len(reports) == 41 and all(r.converged for r in reports)
-    assert len(evaluations) <= 1600
+    assert len(evaluations) <= 400
 
 
 def _joint_program(seqs, ns, delta):
@@ -926,8 +923,9 @@ def test_lazy_gradient_bitwise_equal_to_eager_spg(monkeypatch, run):
     assert len(lazy_traces) == len(eager_traces) >= 1
     for a, b in zip(lazy_traces, eager_traces):
         assert bitwise_equal(a, b)
-    # the eager reference really ran: it inverts on rejected trials too
-    assert eager_inv > lazy_inv
+    # the eager reference really ran: it inverts on rejected trials too.  The
+    # coupled p=8 windows of _tv_run reject none, so there the counts are equal
+    assert eager_inv > lazy_inv or (run is _tv_run and eager_inv == lazy_inv)
 
 
 @pytest.mark.parametrize("run", [_mle_run, _subproblem_run, _tv_run])
@@ -1011,6 +1009,66 @@ def test_spg_stops_at_max_iter():
     _, f, _, iters, conv, trace, _ = solvers._spg(fun, np.full(3, 5.0), 1e-12, 3)
     assert conv is False and iters == 3
     assert len(trace) == 4 and trace[-1] == f  # the start and one entry per accepted step
+
+
+# --- the model metric of SPG ------------------------------------------------------
+
+def _incidence(p):
+    """The degree operator B as a dense p-by-m matrix: column e has ones at both ends of pair e."""
+    iu, ju = np.triu_indices(p, k=1)
+    B = np.zeros((p, len(iu)))
+    B[iu, np.arange(len(iu))] = 1.0
+    B[ju, np.arange(len(iu))] = 1.0
+    return B
+
+
+@pytest.mark.parametrize("p", [3, 6, 20])
+def test_model_direction_is_the_dense_solve_on_the_free_set(p):
+    rng = np.random.default_rng(p)
+    B = _incidence(p)
+    m = B.shape[1]
+    h, beta, g = rng.uniform(0.1, 10.0, m), rng.uniform(0.1, 10.0), rng.standard_normal(m)
+    w = np.where(rng.random(m) < 0.4, 0.0, rng.uniform(0.1, 1.0, m))
+    # an active pair (w = 0, g > 0), a free pair at zero (g < 0) and a free positive pair
+    w[:3], g[:2] = [0.0, 0.0, 0.5], [abs(g[0]), -abs(g[1])]
+    free = ~((w == 0.0) & (g > 0.0))
+    P = np.diag(h) + beta * B.T @ B
+    want = g / h
+    want[free] = np.linalg.solve(P[np.ix_(free, free)], g[free])
+    d = solvers._model_direction(w, g, h, beta)
+    assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
+    assert bitwise_equal(solvers._model_direction(w, g, h, 0.0), g / h)
+    assert solvers._model_direction(w, g, None, 0.0) is g  # a bare gradient keeps the unit metric
+
+
+@pytest.mark.parametrize("coupled, dual", [(True, False), (False, True), (True, True), (False, False)])
+def test_likelihood_model_is_the_penalty_hessian_plus_the_log_det_diagonal(coupled, dual):
+    p, scale, kappa, rho = 6, 1.7, 0.8, 3.0
+    rng = np.random.default_rng(11)
+    m = p * (p - 1) // 2
+    N = np.full((p, p), 1.0 / p)
+    c = reference_ops.laplacian_adjoint(random_spd(rng, p))
+    w = rng.uniform(0.1, 1.0, m)
+    anchor = reference_ops.laplacian_from_weights(rng.uniform(0.1, 1.0, m), p) if coupled else None
+    y = rng.standard_normal(p) if dual else None
+    fun = solvers._likelihood(p, [c], N, (scale,), anchor, kappa, dual=y, rho=rho)
+    g, h, beta = fun(w)[1]()
+    B = _incidence(p)
+    # the Laplacian map as a p^2-by-m matrix, and the log-det diagonal from an explicit inverse
+    Lmap = np.stack([reference_ops.laplacian_from_weights(e, p).ravel() for e in np.eye(m)], axis=1)
+    A = B.copy()
+    A[np.triu_indices(p, k=1)[1], np.arange(m)] = -1.0  # a_e = e_i - e_j
+    Sigma = np.linalg.inv(reference_ops.laplacian_from_weights(w, p) + N)
+    want = np.diag(scale * np.einsum("ie,ij,je->e", A, Sigma, A) ** 2)
+    if coupled:
+        want += 2.0 * kappa * Lmap.T @ Lmap  # the Hessian of kappa ||L(w) - anchor||_F^2
+    if dual:
+        want += rho * B.T @ B
+    P = np.diag(h) + beta * B.T @ B
+    assert np.abs(P - want).max() <= 1e-12 * np.abs(want).max()
+    # a window of two blocks returns its bare gradient: the unit metric
+    two = solvers._likelihood(p, [c, c], N, (1.0, 1.0), anchor, kappa)
+    assert isinstance(two(np.concatenate([w, w]))[1](), np.ndarray)
 
 
 def test_k_component_flags_a_tie_at_the_eigengap():
