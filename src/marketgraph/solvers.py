@@ -187,7 +187,9 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
     ``(a_e^T inv(L + N) a_e)^2``, whose root is the adjoint entry the
     gradient already holds.  Hence ``h = s R*R + 4 kappa`` and ``beta =
     2 kappa + rho``.  A window of several blocks returns its bare gradient,
-    and SPG keeps the unit metric there.
+    and SPG keeps the unit metric there; so does a point where some
+    ``R_e`` cancels to 0 (``L + N`` numerically singular), whose model
+    would divide by zero.
     """
     m = len(cs[0])
 
@@ -230,8 +232,8 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
             # one block: the model Hessian diag(h) + beta B^T B of the docstring
             kappa = coupling if diffs else 0.0
             h = scales[0] * R[0] * R[0] + 4.0 * kappa
-            if not h.min() > 0.0:  # R_e cancelled to 0: L + N is numerically singular here
-                return None
+            if not h.min() > 0.0:  # R_e cancelled to 0: no model here, so the unit metric
+                return G[0]
             beta = 2.0 * kappa + (rho if dual is not None else 0.0)
             return G[0], h, beta
 
@@ -647,9 +649,13 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     edge of ``w_{t-1}`` stays and ``L + 11^T/p`` is PD; otherwise (the first
     two windows, or ``delta = 0``, where the windows are independent MLEs)
     at ``w_{t-1}``.  From ``t = 1`` on, each SPG call opens with the last
-    BB step of the call before.  Both read only past estimates, so only
-    data up to and including t is touched and the output is a causal
-    sequence: running on a prefix reproduces the prefix bit for bit.
+    BB step of the call before, except the first window of two blocks
+    (``memory > 1``): a lone block steps in a model metric and a window
+    in the unit one (see :func:`_likelihood`), so a step measured in one
+    would misjudge the other, and that call opens with the default.  Both
+    read only past estimates, so only data up to and including t is
+    touched and the output is a causal sequence: running on a prefix
+    reproduces the prefix bit for bit.
 
     ``memory=1`` (the default) keeps only the coupling to the previous
     estimate; ``memory=T`` recovers the full joint program at O(T^2) cost.
@@ -691,6 +697,8 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
         # the window objective divided by n_t: for one block the static-solver scale
         scales = [n / n_seq[t] for n in n_seq[a : t + 1]]
         anchor = estimates[a - 1] if a > 0 else None
+        if t == 1 and a == 0:  # the first window of two blocks: the unit metric sizes steps anew
+            step = None
         fun = _likelihood(p, cs[a : t + 1], J, scales, anchor, cfg.delta / n_seq[t])
         w, _, _, iters, conv, trace, step = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS, step=step)
         L = laplacian_from_weights(w[-m:], p)

@@ -3,7 +3,8 @@
 The weight-space operators are the plain ``np.triu_indices`` /
 ``np.add.at`` formulas behind the cached operators in
 ``marketgraph.laplacian``; ``eager_spg`` is the projected-gradient kernel
-with the gradient computed at every objective evaluation.  ``log_gdet`` is
+with the gradient computed at every objective evaluation, stepping along
+the kernel's own ``_model_direction`` (a dense solve checks that one).  ``log_gdet`` is
 the eigenvalue oracle of the ``log det(L + 11^T/p)`` the solvers evaluate.
 """
 
@@ -11,6 +12,7 @@ import warnings
 
 import numpy as np
 
+from marketgraph import solvers
 from marketgraph.laplacian import DisconnectedGraphWarning, node_count, spectral_summary
 
 
@@ -92,21 +94,6 @@ def bitwise_equal(a, b) -> bool:
     )
 
 
-def _model_direction(w, g, h, beta):
-    """The kernel's direction ``P_FF^{-1} g_F`` (free set F), ``g / h`` on the active set."""
-    if h is None:
-        return g
-    u = g / h
-    if not beta:
-        return u
-    active = (w == 0.0) & (g > 0.0)
-    q = np.where(active, 0.0, 1.0 / h)
-    Q = np.abs(laplacian_from_weights(q))  # B diag(q) B^T
-    Q.flat[:: len(Q) + 1] += 1.0 / beta
-    z = np.linalg.solve(Q, degrees_from_weights(np.where(active, 0.0, u)))
-    return u - q * dual_to_pairs(z)
-
-
 def eager_spg(fun, w0, tol, max_iter, step=None):
     """``marketgraph.solvers._spg`` with the gradient computed on every call.
 
@@ -139,7 +126,7 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if np.abs(resid).max() <= eff_tol:
             return w, f, g, it - 1, True, trace, step
-        d = _model_direction(w, g, h, beta)
+        d = solvers._model_direction(w, g, h, beta)  # the kernel's own direction
         if step is None:
             step = 1.0 / max(1.0, float(np.abs(d).max()))
         t = step

@@ -661,7 +661,8 @@ def test_tv_windows_start_from_the_extrapolated_estimate_and_the_last_step(monke
     # coupled windows start the newest graph at max(2 w_{t-1} - w_{t-2}, w_{t-1}/2)
     # from t = 2 on, uncoupled ones at w_{t-1}; older blocks keep their stored
     # estimates, and every call after the first opens with the step the one
-    # before returned
+    # before returned, except the first window of two blocks, whose unit
+    # metric follows a lone block's model metric and opens with the default
     seqs, ns = _similarity_sequence(6, p=6, seed=6, level=lambda t: 0.1 + 0.07 * t)
     m = 15
     calls = []
@@ -685,7 +686,9 @@ def test_tv_windows_start_from_the_extrapolated_estimate_and_the_last_step(monke
         assert len(older) == (min(memory, t + 1) - 1 if delta > 0 else 0)
         for s, block in enumerate(older, start=t - len(older)):
             assert bitwise_equal(block, w_hist[s + 1])
-        if t:
+        if t == 1 and memory > 1 and delta > 0:
+            assert step is None
+        elif t:
             assert step == calls[t - 1][3]
 
 
@@ -911,8 +914,14 @@ def _tv_memory2_run():
 
 @pytest.mark.parametrize("run", [_mle_run, _subproblem_run, _tv_run, _tv_memory2_run])
 def test_lazy_gradient_bitwise_equal_to_eager_spg(monkeypatch, run):
+    eager_calls = []
+
+    def eager_spg(*args, **kwargs):
+        eager_calls.append(1)
+        return reference_ops.eager_spg(*args, **kwargs)
+
     lazy, lazy_traces, lazy_inv = _counted_run(monkeypatch, run)
-    eager, eager_traces, eager_inv = _counted_run(monkeypatch, run, reference_ops.eager_spg)
+    eager, eager_traces, eager_inv = _counted_run(monkeypatch, run, eager_spg)
     (L_lazy, rep_lazy), (L_eager, rep_eager) = lazy, eager
     if not isinstance(L_lazy, list):  # a static solver: one graph, one report
         L_lazy, rep_lazy, L_eager, rep_eager = [L_lazy], [rep_lazy], [L_eager], [rep_eager]
@@ -923,9 +932,11 @@ def test_lazy_gradient_bitwise_equal_to_eager_spg(monkeypatch, run):
     assert len(lazy_traces) == len(eager_traces) >= 1
     for a, b in zip(lazy_traces, eager_traces):
         assert bitwise_equal(a, b)
-    # the eager reference really ran: it inverts on rejected trials too.  The
-    # coupled p=8 windows of _tv_run reject none, so there the counts are equal
-    assert eager_inv > lazy_inv or (run is _tv_run and eager_inv == lazy_inv)
+    # the eager reference really ran, for every SPG call
+    assert len(eager_calls) == len(eager_traces)
+    # and it inverts on rejected trials too; stepped in the model metric, the
+    # coupled windows of _tv_run reject none, so there the counts may be equal
+    assert eager_inv > lazy_inv if run is not _tv_run else eager_inv >= lazy_inv
 
 
 @pytest.mark.parametrize("run", [_mle_run, _subproblem_run, _tv_run])
@@ -1069,6 +1080,38 @@ def test_likelihood_model_is_the_penalty_hessian_plus_the_log_det_diagonal(coupl
     # a window of two blocks returns its bare gradient: the unit metric
     two = solvers._likelihood(p, [c, c], N, (1.0, 1.0), anchor, kappa)
     assert isinstance(two(np.concatenate([w, w]))[1](), np.ndarray)
+
+
+def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
+    # near a disconnected optimum L + N is numerically singular, and some
+    # a_e^T inv(L + N) a_e can cancel to exactly 0, as on the way to the
+    # optimum of test_mle_of_a_disconnecting_problem_reaches_the_optimum.  Here
+    # R_0 is zeroed by hand at the start point.  h then has a zero, so grad()
+    # returns the bare gradient and SPG starts with a unit-metric step
+    p = 5
+    rng = np.random.default_rng(4)
+    c = reference_ops.laplacian_adjoint(random_spd(rng, p))
+    N = np.full((p, p), 1.0 / p)
+    w0 = rng.uniform(0.1, 1.0, p * (p - 1) // 2)
+    want = solvers._spg(solvers._likelihood(p, [c], N), w0, 1e-10, 500)
+    adjoint, calls = solvers.laplacian_adjoint, []
+
+    def cancelled_at_start(M):
+        R = adjoint(M)
+        if not calls:
+            R[0] = 0.0
+        calls.append(1)
+        return R
+
+    monkeypatch.setattr(solvers, "laplacian_adjoint", cancelled_at_start)
+    fun = solvers._likelihood(p, [c], N)
+    g0 = fun(w0)[1]()
+    assert isinstance(g0, np.ndarray) and g0[0] == c[0]  # R_0 = 0 left c_0 alone
+    calls.clear()
+    w, f, _, iters, conv, _, _ = solvers._spg(fun, w0, 1e-10, 500)
+    assert conv and iters > 0 and len(calls) > 1
+    assert np.abs(w - want[0]).max() <= 1e-6 * np.abs(want[0]).max()
+    assert f == pytest.approx(want[1], rel=1e-12)
 
 
 def test_k_component_flags_a_tie_at_the_eigengap():
