@@ -15,7 +15,7 @@ All solvers optimize over the nonnegative edge-weight vector, so symmetry,
 zero row sums and the off-diagonal sign constraint hold by construction;
 the only inequality left is w >= 0, handled by a spectral projected
 gradient (SPG) kernel with a nonmonotone Armijo line search, which steps
-in the metric of a model Hessian when the objective supplies one.  Degree
+in the metric of the model Hessian every objective supplies.  Degree
 equality constraints are enforced by an augmented Lagrangian around that
 kernel, whose dual rounds run SPG only as tightly as the current degree
 residual warrants and end on a round at the full tolerance.
@@ -33,12 +33,13 @@ where c_b = L^*(K_b) + 2 alpha, so c_b @ w_b = tr(L(w_b) K_b) + alpha
 ||L(w_b)||_off,1.  The smooth baseline has no log-determinant and keeps
 its own objective.
 
-Every objective returns its value and a zero-argument gradient closure.
-The Armijo test needs the value alone, and it rejects most trial points,
-so the value costs one Laplacian build and one Cholesky log-determinant
-while the closure holds the rest: the inverse, the adjoints and the
-penalty gradients.  SPG calls it only where it needs the gradient, at the
-start point and at an accepted step.
+Every objective returns its value and a zero-argument closure for the
+gradient and the model Hessian (see :func:`_spg`).  The Armijo test needs
+the value alone, and it rejects most trial points, so the value costs one
+Laplacian build and one Cholesky log-determinant while the closure holds
+the rest: the inverse, the adjoints and the penalty gradients.  SPG calls
+it only where it needs the gradient, at the start point and at an
+accepted step.
 
 The log pseudo-determinant of a connected-graph Laplacian is evaluated as
 log det(L + (1/p) 11^T): the rank-one correction N spans the constant null
@@ -111,7 +112,8 @@ class SolverConfig:
     penalty and ``k`` the component count of the k-component solver,
     ``delta`` the temporal coupling weight and ``memory`` the joint-history
     length of the time-varying solver.  ``alpha``, ``eta``, ``gamma`` and
-    ``delta`` must be nonnegative and finite (NaN is rejected too).
+    ``delta`` must be nonnegative and finite (NaN is rejected too),
+    ``inner_tol`` positive and finite, ``k`` and ``memory`` integers >= 1.
     """
 
     inner_tol: float = 1e-7
@@ -123,12 +125,11 @@ class SolverConfig:
     memory: int = 1
 
     def __post_init__(self):
-        if self.inner_tol <= 0:
-            raise ValueError("tolerance inner_tol must be positive")
-        if self.k < 1:
-            raise ValueError("component count k must be at least 1")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ValueError(f"tolerance inner_tol must be positive and finite, got {self.inner_tol}")
+        for name, value in (("component count k", self.k), ("memory", self.memory)):
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value}")
         for name, value in (("sparsity weight alpha", self.alpha), ("rank-penalty weight eta", self.eta),
                             ("Frobenius weight gamma", self.gamma), ("temporal weight delta", self.delta)):
             if not value >= 0:
@@ -178,20 +179,23 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
     applies the adjoints and adds the penalty gradients; it returns None
     when ``inv`` fails.
 
-    For one block ``grad()`` returns ``(g, h, beta)``: with the model
-    Hessian ``P = diag(h) + beta B^T B`` (B the p-by-m degree operator)
-    :func:`_spg` steps along ``P^{-1} g``.  In weight space the coupling's
-    Hessian is ``4 kappa I + 2 kappa B^T B`` (kappa = ``coupling``, when an
-    ``anchor`` makes the term) and the AL term's ``rho B^T B``, so the model
-    is exact on both; of ``-log det(L + N)`` it keeps the diagonal
-    ``(a_e^T inv(L + N) a_e)^2``, whose root is the adjoint entry the
-    gradient already holds.  Hence ``h = s R*R + 4 kappa`` and ``beta =
-    2 kappa + rho``.  A window of several blocks returns its bare gradient,
-    and SPG keeps the unit metric there; so does a point where some
-    ``R_e`` cancels to 0 (``L + N`` numerically singular), whose model
-    would divide by zero.
+    ``grad()`` returns ``(g, h, beta)``: the gradient and the model Hessian
+    P that :func:`_spg` steps in, block b ``diag(h_b) + beta[b] B^T B`` (B
+    the p-by-m degree operator).  As ``||L(w)||_F^2 = w^T (2 I + B^T B) w``,
+    the coupling's Hessian is ``T kron 2 kappa (2 I + B^T B)`` (kappa =
+    ``coupling``), T the path Laplacian of the chain with the anchor fixed.
+    P keeps its diagonal blocks (block Jacobi, ``T_bb = n_b``), the AL
+    term's ``rho B^T B`` and the diagonal ``R_e^2 = (a_e^T inv(L + N)
+    a_e)^2`` of ``-log det(L + N)``: ``h_b = s_b R_b*R_b + 4 kappa n_b`` and
+    ``beta[b] = 2 kappa n_b + rho``, exact on both penalties for one block.
+    Where some R_e cancels to 0 (``L + N`` numerically singular) the model
+    would divide by zero, and ``grad()`` returns the unit metric, ``h =
+    1.0`` and every ``beta[b] = 0``.
     """
-    m = len(cs[0])
+    m, blocks = len(cs[0]), len(cs)
+    # n_b, the coupling terms block b is in: L_b - L_{b-1} (at b = 0 only with an anchor), L_{b+1} - L_b
+    links = [((b > 0 or anchor is not None) + (b < blocks - 1)) if coupling else 0 for b in range(blocks)]
+    beta = [2.0 * coupling * n + (rho if dual is not None else 0.0) for n in links]
 
     def fun(w):
         As, diffs, f, prev = [], [], 0.0, anchor
@@ -227,15 +231,12 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
                 G[j] += gD
                 if j > 0:
                     G[j - 1] -= gD
-            if len(G) > 1:
-                return np.concatenate(G)
-            # one block: the model Hessian diag(h) + beta B^T B of the docstring
-            kappa = coupling if diffs else 0.0
-            h = scales[0] * R[0] * R[0] + 4.0 * kappa
+            g = G[0] if blocks == 1 else np.concatenate(G)
+            hs = [scale * Rb * Rb + 4.0 * coupling * n for scale, Rb, n in zip(scales, R, links)]
+            h = hs[0] if blocks == 1 else np.concatenate(hs)
             if not h.min() > 0.0:  # R_e cancelled to 0: no model here, so the unit metric
-                return G[0]
-            beta = 2.0 * kappa + (rho if dual is not None else 0.0)
-            return G[0], h, beta
+                return g, 1.0, [0.0] * blocks
+            return g, h, beta
 
         return f, grad
 
@@ -257,21 +258,21 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
     value does (the line search backs off), so the iterates are the same
     floats as with a gradient computed on every call.
 
-    ``grad()`` returns either the bare gradient ``g`` or ``(g, h, beta)``,
-    the gradient with a model Hessian ``P = diag(h) + beta B^T B`` (see
-    :func:`_likelihood`).  The step is then the two-metric scaled gradient
-    projection (Bertsekas 1982; Bonettini, Zanella & Zanni 2009): on the
-    active set (``w = 0`` and ``g > 0``) the direction is ``d = g / h``, on
-    the free set F it is ``P_FF^{-1} g_F``, one p-by-p Woodbury solve
-    (:func:`_model_direction`), and a trial is ``max(w - t d, 0)``.  A trial
-    that is no descent step (``g @ (w_new - w) > 0``) is halved without an
-    evaluation.  The BB step is measured in the model metric at the new
-    point, ``s^T P s / s^T y``.  Where the coupling dominates the log-det
-    curvature, as in the rolling ``learn-tv`` windows, the unit metric is
-    badly conditioned: on the benchmark's 400 such windows the model cut
-    the SPG iterations 12,468 -> 1,939.  A bare gradient is its own
-    direction with ``P s = s``: the unscaled SPG, as the smooth baseline
-    and the multi-block ``learn-tv`` windows run it.
+    ``grad()`` returns ``(g, h, beta)``, the gradient and a model Hessian
+    P with block ``diag(h_b) + beta[b] B^T B`` on the b-th of ``len(beta)``
+    equal slices of w (see :func:`_likelihood`).  The step is then the
+    two-metric scaled gradient projection (Bertsekas 1982; Bonettini,
+    Zanella & Zanni 2009): on the active set (``w = 0`` and ``g > 0``) the
+    direction is ``d = g / h``, on the free set F it is ``P_FF^{-1} g_F``
+    (:func:`_model_direction`), and a trial is ``max(w - t d, 0)``.  A
+    trial that is no descent step (``g @ (w_new - w) > 0``) is halved
+    without an evaluation.  The BB step is measured in the model metric at
+    the new point, ``s^T P s / s^T y``.  Where the coupling dominates the
+    log-det curvature, as in the rolling ``learn-tv`` windows, the unit
+    metric is badly conditioned: the model cut the SPG iterations 12,468
+    -> 1,939 on the benchmark's 400 such windows, and 28,781 -> 5,380 on
+    200 windows of two graphs (``memory=2``).  The unit metric, ``h =
+    1.0`` and every ``beta[b] = 0``, steps along ``g`` bit for bit.
 
     The line search is nonmonotone (Grippo, Lampariello & Lucidi 1986), as
     in the SPG of Birgin, Martinez & Raydan (2000): a trial passes the
@@ -316,7 +317,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
     out = grad() if math.isfinite(f) else None
     if out is None:
         raise ValueError("infeasible starting point for projected gradient")
-    g, h, beta = out if isinstance(out, tuple) else (out, None, 0.0)
+    g, h, beta = out
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
     trace = [f]
     for it in range(1, max_iter + 1):
@@ -347,12 +348,13 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
             t *= 0.5
         if not accepted:
             return w, f, g, it, False, trace, step
-        g_new, h, beta = out if isinstance(out, tuple) else (out, None, 0.0)
+        g_new, h, beta = out
         # the BB pair (s, y) with s = dw, measured in the model metric at w_new
         sy = float(dw @ (g_new - g))
-        ps = dw if h is None else h * dw  # P s
-        if beta:
-            ps = ps + beta * dual_to_pairs(degrees_from_weights(dw))
+        ps, m = h * dw, len(dw) // len(beta)  # P s, block by block
+        for b, beta_b in enumerate(beta):
+            if beta_b:
+                ps[b * m : (b + 1) * m] += beta_b * dual_to_pairs(degrees_from_weights(dw[b * m : (b + 1) * m]))
         step = float(dw @ ps) / sy if sy > 1e-16 else step * 2.0
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
@@ -363,24 +365,25 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
 def _model_direction(w, g, h, beta):
     """The SPG direction: ``P_FF^{-1} g_F`` on the free set F, ``g / h`` on the active set.
 
-    ``P = diag(h) + beta B^T B`` is the model Hessian a likelihood's ``grad()``
-    returns, B the p-by-m degree operator.  The active set holds the pairs
-    with ``w = 0`` and ``g > 0``.  On F, Woodbury turns the m-by-m solve
+    P is a ``grad()``'s model Hessian, block ``diag(h_b) + beta[b] B^T B``
+    on the b-th of ``len(beta)`` equal slices of w, B the p-by-m degree
+    operator.  The active set holds the pairs with ``w = 0`` and ``g > 0``.
+    On F, per block with ``beta[b] != 0``, Woodbury turns the m-by-m solve
     into a p-by-p one: with ``u = g / h`` and ``q = 1 / h`` on F (zero off
-    it), ``d = u - q (B^T z)`` where ``(I / beta + B diag(q) B^T) z = B u``.
-    A bare gradient (``h`` None) is its own direction.
+    it), ``d = u - q (B^T z)`` where ``(I / beta[b] + B diag(q) B^T) z = B u``.
     """
-    if h is None:
-        return g
-    u = g / h
-    if not beta:
-        return u
-    active = (w == 0.0) & (g > 0.0)
-    q = np.where(active, 0.0, 1.0 / h)
-    Q = np.abs(laplacian_from_weights(q))  # B diag(q) B^T: degrees of q on the diagonal, q off it
-    Q.flat[:: len(Q) + 1] += 1.0 / beta
-    z = np.linalg.solve(Q, degrees_from_weights(np.where(active, 0.0, u)))
-    return u - q * dual_to_pairs(z)
+    d, m = g / h, len(g) // len(beta)
+    for b, beta_b in enumerate(beta):
+        if beta_b:
+            blk = slice(b * m, (b + 1) * m)
+            u = d[blk]  # a view: the Woodbury correction lands in d
+            active = (w[blk] == 0.0) & (g[blk] > 0.0)
+            q = np.where(active, 0.0, 1.0 / h[blk])
+            Q = np.abs(laplacian_from_weights(q))  # B diag(q) B^T: degrees of q on the diagonal, q off it
+            Q.flat[:: len(Q) + 1] += 1.0 / beta_b
+            z = np.linalg.solve(Q, degrees_from_weights(np.where(active, 0.0, u)))
+            u -= q * dual_to_pairs(z)
+    return d
 
 
 def _report(L, iterations, trace, converged, degree=None, degenerate=False) -> SolveReport:
@@ -435,7 +438,7 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None):
         if np.any(d <= 0.0):
             return np.inf, None
         f = float(z @ w) - alpha * float(np.sum(np.log(d))) + gamma * float(w @ w)
-        return f, lambda: z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w
+        return f, lambda: (z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w, 1.0, [0.0])  # unit metric
 
     w0 = np.full(pair_count(p), 1.0 / (p - 1))
     w, _, _, iters, conv, trace, _ = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
@@ -649,13 +652,11 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     edge of ``w_{t-1}`` stays and ``L + 11^T/p`` is PD; otherwise (the first
     two windows, or ``delta = 0``, where the windows are independent MLEs)
     at ``w_{t-1}``.  From ``t = 1`` on, each SPG call opens with the last
-    BB step of the call before, except the first window of two blocks
-    (``memory > 1``): a lone block steps in a model metric and a window
-    in the unit one (see :func:`_likelihood`), so a step measured in one
-    would misjudge the other, and that call opens with the default.  Both
-    read only past estimates, so only data up to and including t is
-    touched and the output is a causal sequence: running on a prefix
-    reproduces the prefix bit for bit.
+    BB step of the call before; every window steps in its block model (see
+    :func:`_likelihood`), of one graph or several.  Both read only past
+    estimates, so only data up to and including t is touched and the
+    output is a causal sequence: running on a prefix reproduces the prefix
+    bit for bit.
 
     ``memory=1`` (the default) keeps only the coupling to the previous
     estimate; ``memory=T`` recovers the full joint program at O(T^2) cost.
@@ -697,8 +698,6 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
         # the window objective divided by n_t: for one block the static-solver scale
         scales = [n / n_seq[t] for n in n_seq[a : t + 1]]
         anchor = estimates[a - 1] if a > 0 else None
-        if t == 1 and a == 0:  # the first window of two blocks: the unit metric sizes steps anew
-            step = None
         fun = _likelihood(p, cs[a : t + 1], J, scales, anchor, cfg.delta / n_seq[t])
         w, _, _, iters, conv, trace, step = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS, step=step)
         L = laplacian_from_weights(w[-m:], p)

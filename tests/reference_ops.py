@@ -101,9 +101,9 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
     here ``grad()`` runs right after every evaluation with a finite value,
     and a None from it turns the value into +inf.  That is the cost profile
     of an objective that returns its gradient eagerly; the iterates, values
-    and return tuple must be the kernel's bit for bit.  A ``grad()`` that
-    returns ``(g, h, beta)`` sets the model metric ``diag(h) + beta B^T B``
-    of the direction and of the BB step; a bare gradient keeps the unit one.
+    and return tuple must be the kernel's bit for bit.  ``grad()`` returns
+    ``(g, h, beta)``: block b of the model metric, which sets the direction
+    and the BB step, is ``diag(h_b) + beta[b] B^T B``.
     """
 
     def evaluate(w):
@@ -113,7 +113,7 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
         out = grad()
         if out is None:
             return np.inf, None
-        return f, (out if isinstance(out, tuple) else (out, None, 0.0))
+        return f, out
 
     w = np.asarray(w0, dtype=float).copy()
     f, model = evaluate(w)
@@ -150,9 +150,10 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
         s = w_new - w
         y = g_new - g
         sy = float(s @ y)
-        Ps = s if h is None else h * s
-        if beta:
-            Ps = Ps + beta * dual_to_pairs(degrees_from_weights(s))
+        Ps = h * s
+        for b, blk in enumerate(np.split(np.arange(len(s)), len(beta))):
+            if beta[b]:
+                Ps[blk] += beta[b] * dual_to_pairs(degrees_from_weights(s[blk]))
         step = float(s @ Ps) / sy if sy > 1e-16 else step * 2.0
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new

@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import minimize
 
 from marketgraph import solvers
@@ -661,8 +662,7 @@ def test_tv_windows_start_from_the_extrapolated_estimate_and_the_last_step(monke
     # coupled windows start the newest graph at max(2 w_{t-1} - w_{t-2}, w_{t-1}/2)
     # from t = 2 on, uncoupled ones at w_{t-1}; older blocks keep their stored
     # estimates, and every call after the first opens with the step the one
-    # before returned, except the first window of two blocks, whose unit
-    # metric follows a lone block's model metric and opens with the default
+    # before returned, also the first window of two blocks
     seqs, ns = _similarity_sequence(6, p=6, seed=6, level=lambda t: 0.1 + 0.07 * t)
     m = 15
     calls = []
@@ -686,20 +686,22 @@ def test_tv_windows_start_from_the_extrapolated_estimate_and_the_last_step(monke
         assert len(older) == (min(memory, t + 1) - 1 if delta > 0 else 0)
         for s, block in enumerate(older, start=t - len(older)):
             assert bitwise_equal(block, w_hist[s + 1])
-        if t == 1 and memory > 1 and delta > 0:
-            assert step is None
-        elif t:
+        if t:
             assert step == calls[t - 1][3]
 
 
-def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
+@pytest.mark.parametrize("memory, budget", [(1, 400), (2, 2_000), (3, 4_000)])
+def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch, memory, budget):
     # 41 stride-1 windows of 30 rows at p=20 across a correlation regime
-    # change.  A monotone Armijo search stalls at the rounding floor here: 5
-    # windows give up after 60 halvings, and the panel takes 7,392 objective
-    # evaluations.  The nonmonotone search takes about 1,900, and about 1,500
-    # with each window started at the extrapolated estimate and the last BB
-    # step of the window before.  Stepping in the model metric, exact on the
-    # coupling, takes about 300.
+    # change.  At memory 1 a monotone Armijo search stalls at the rounding
+    # floor here: 5 windows give up after 60 halvings, and the panel takes
+    # 7,392 objective evaluations.  The nonmonotone search takes about 1,900,
+    # and about 1,500 with each window started at the extrapolated estimate
+    # and the last BB step of the window before.  Stepping in the model
+    # metric, exact on the coupling, takes about 300.  Joint windows of 2 and
+    # 3 graphs took 9,157 and 17,301 evaluations in the unit metric, and
+    # about 1,650 and 3,600 in the block model (each block's diagonal block
+    # of the coupling Hessian plus its log-det diagonal).
     returns = simulate_factor_market(20, 70, regimes=((35, 0.1), (35, 0.8)), seed=3).returns.returns
     S_seq = [np.corrcoef(returns[s : s + 30], rowvar=False) for s in range(41)]
     evaluations = []
@@ -715,9 +717,9 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch):
         return counted
 
     monkeypatch.setattr(solvers, "_likelihood", counted_likelihood)
-    _, reports = learn_time_varying(S_seq, [30] * 41, SolverConfig())
+    _, reports = learn_time_varying(S_seq, [30] * 41, SolverConfig(memory=memory))
     assert len(reports) == 41 and all(r.converged for r in reports)
-    assert len(evaluations) <= 400
+    assert len(evaluations) <= budget
 
 
 def _joint_program(seqs, ns, delta):
@@ -774,12 +776,17 @@ def test_tv_validates_inputs():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(inner_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(k=0)
-    with pytest.raises(ValueError):
-        SolverConfig(memory=0)
+    # an infinite tolerance would return the start as converged after 0
+    # iterations, a NaN one would never stop; a fractional k or memory would
+    # fail deep inside a solve on a slice index
+    for value in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"inner_tol must be positive and finite, got {value}"):
+            SolverConfig(inner_tol=value)
+    for name in ("k", "memory"):
+        for value in (0, 1.5, 2.5):
+            with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1, got {value}"):
+                SolverConfig(**{name: value})
+    assert SolverConfig(k=np.int64(2), memory=np.int64(3)).memory == 3
     for name in ("alpha", "eta", "gamma", "delta"):
         for value in (-1.0, float("nan")):
             with pytest.raises(ValueError, match=f"{name} must be nonnegative, got {value}"):
@@ -948,7 +955,7 @@ def test_one_inverse_per_trace_entry(monkeypatch, run):
 
 
 def _toy_quadratic(bad_point=None):
-    """0.5 (w - 4)^2 in one weight; ``grad()`` fails at ``bad_point``."""
+    """0.5 (w - 4)^2 in one weight, in the unit metric; ``grad()`` fails at ``bad_point``."""
     calls = {"fun": [], "grad": []}
 
     def fun(w):
@@ -956,7 +963,7 @@ def _toy_quadratic(bad_point=None):
 
         def grad():
             calls["grad"].append(float(w[0]))
-            return None if w[0] == bad_point else w - 4.0
+            return None if w[0] == bad_point else (w - 4.0, 1.0, [0.0])
 
         return 0.5 * float((w[0] - 4.0) ** 2), grad
 
@@ -1003,7 +1010,7 @@ def test_spg_stops_when_the_line_search_runs_out_of_halvings():
 
     def fun(w):
         if np.array_equal(w, w0):
-            return 1.0, lambda: np.ones(3)
+            return 1.0, lambda: (np.ones(3), 1.0, [0.0])
         return np.inf, None
 
     w, f, _, iters, conv, trace, _ = solvers._spg(fun, w0, 1e-7, 100)
@@ -1015,7 +1022,7 @@ def test_spg_stops_at_max_iter():
     a, b = np.array([1.0, 10.0, 100.0]), np.array([1.0, 2.0, 3.0])
 
     def fun(w):
-        return 0.5 * float(a @ (w - b) ** 2), lambda: a * (w - b)
+        return 0.5 * float(a @ (w - b) ** 2), lambda: (a * (w - b), 1.0, [0.0])
 
     _, f, _, iters, conv, trace, _ = solvers._spg(fun, np.full(3, 5.0), 1e-12, 3)
     assert conv is False and iters == 3
@@ -1038,48 +1045,72 @@ def test_model_direction_is_the_dense_solve_on_the_free_set(p):
     rng = np.random.default_rng(p)
     B = _incidence(p)
     m = B.shape[1]
-    h, beta, g = rng.uniform(0.1, 10.0, m), rng.uniform(0.1, 10.0), rng.standard_normal(m)
-    w = np.where(rng.random(m) < 0.4, 0.0, rng.uniform(0.1, 1.0, m))
-    # an active pair (w = 0, g > 0), a free pair at zero (g < 0) and a free positive pair
-    w[:3], g[:2] = [0.0, 0.0, 0.5], [abs(g[0]), -abs(g[1])]
-    free = ~((w == 0.0) & (g > 0.0))
-    P = np.diag(h) + beta * B.T @ B
-    want = g / h
-    want[free] = np.linalg.solve(P[np.ix_(free, free)], g[free])
-    d = solvers._model_direction(w, g, h, beta)
-    assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
-    assert bitwise_equal(solvers._model_direction(w, g, h, 0.0), g / h)
-    assert solvers._model_direction(w, g, None, 0.0) is g  # a bare gradient keeps the unit metric
+    for blocks in (1, 2, 3):
+        h, g = rng.uniform(0.1, 10.0, blocks * m), rng.standard_normal(blocks * m)
+        beta = list(rng.uniform(0.1, 10.0, blocks))
+        if blocks == 3:
+            beta[1] = 0.0  # a block off the coupling keeps its diagonal
+        w = np.where(rng.random(blocks * m) < 0.4, 0.0, rng.uniform(0.1, 1.0, blocks * m))
+        # an active pair (w = 0, g > 0), a free pair at zero (g < 0) and a free positive pair
+        w[:3], g[:2] = [0.0, 0.0, 0.5], [abs(g[0]), -abs(g[1])]
+        free = ~((w == 0.0) & (g > 0.0))
+        P = np.diag(h) + block_diag(*[beta_b * B.T @ B for beta_b in beta])
+        want = g / h
+        want[free] = np.linalg.solve(P[np.ix_(free, free)], g[free])
+        d = solvers._model_direction(w, g, h, beta)
+        assert np.abs(d - want).max() <= 1e-10 * np.abs(want).max()
+        assert bitwise_equal(solvers._model_direction(w, g, h, [0.0] * blocks), g / h)
+        # the unit metric is its own gradient, bit for bit
+        assert bitwise_equal(solvers._model_direction(w, g, 1.0, [0.0] * blocks), g)
 
 
 @pytest.mark.parametrize("coupled, dual", [(True, False), (False, True), (True, True), (False, False)])
 def test_likelihood_model_is_the_penalty_hessian_plus_the_log_det_diagonal(coupled, dual):
-    p, scale, kappa, rho = 6, 1.7, 0.8, 3.0
+    p, scales, kappa, rho = 6, (1.7, 0.6, 2.3), 0.8, 3.0
     rng = np.random.default_rng(11)
     m = p * (p - 1) // 2
     N = np.full((p, p), 1.0 / p)
-    c = reference_ops.laplacian_adjoint(random_spd(rng, p))
-    w = rng.uniform(0.1, 1.0, m)
+    cs = [reference_ops.laplacian_adjoint(random_spd(rng, p)) for _ in scales]
+    ws = [rng.uniform(0.1, 1.0, m) for _ in scales]
     anchor = reference_ops.laplacian_from_weights(rng.uniform(0.1, 1.0, m), p) if coupled else None
     y = rng.standard_normal(p) if dual else None
-    fun = solvers._likelihood(p, [c], N, (scale,), anchor, kappa, dual=y, rho=rho)
-    g, h, beta = fun(w)[1]()
     B = _incidence(p)
-    # the Laplacian map as a p^2-by-m matrix, and the log-det diagonal from an explicit inverse
+    # the Laplacian map as a p^2-by-m matrix, and a_e = e_i - e_j as the columns of A
     Lmap = np.stack([reference_ops.laplacian_from_weights(e, p).ravel() for e in np.eye(m)], axis=1)
     A = B.copy()
-    A[np.triu_indices(p, k=1)[1], np.arange(m)] = -1.0  # a_e = e_i - e_j
-    Sigma = np.linalg.inv(reference_ops.laplacian_from_weights(w, p) + N)
-    want = np.diag(scale * np.einsum("ie,ij,je->e", A, Sigma, A) ** 2)
+    A[np.triu_indices(p, k=1)[1], np.arange(m)] = -1.0
+
+    def log_det_diagonal(scale, w):  # from an explicit inverse
+        Sigma = np.linalg.inv(reference_ops.laplacian_from_weights(w, p) + N)
+        return np.diag(scale * np.einsum("ie,ij,je->e", A, Sigma, A) ** 2)
+
+    # one block: the model is the exact penalty Hessian plus the log-det diagonal
+    fun = solvers._likelihood(p, cs[:1], N, scales[:1], anchor, kappa, dual=y, rho=rho)
+    _, h, beta = fun(ws[0])[1]()
+    want = log_det_diagonal(scales[0], ws[0])
     if coupled:
         want += 2.0 * kappa * Lmap.T @ Lmap  # the Hessian of kappa ||L(w) - anchor||_F^2
     if dual:
         want += rho * B.T @ B
-    P = np.diag(h) + beta * B.T @ B
-    assert np.abs(P - want).max() <= 1e-12 * np.abs(want).max()
-    # a window of two blocks returns its bare gradient: the unit metric
-    two = solvers._likelihood(p, [c, c], N, (1.0, 1.0), anchor, kappa)
-    assert isinstance(two(np.concatenate([w, w]))[1](), np.ndarray)
+    P = np.diag(h) + beta[0] * B.T @ B
+    assert len(beta) == 1 and np.abs(P - want).max() <= 1e-12 * np.abs(want).max()
+    if dual:
+        return  # the degree term belongs to one-block solves
+    # a window of 2 or 3 blocks: the diagonal blocks of the chain's exact
+    # coupling Hessian kappa (T kron 2 Lmap^T Lmap), T = E^T E for the chain's
+    # difference operator E, plus each block's log-det diagonal
+    for blocks in (2, 3):
+        E = np.eye(blocks) - np.eye(blocks, k=-1)  # row j: L_j - L_{j-1}
+        if not coupled:
+            E = E[1:]  # no anchor: the chain starts at L_0
+        T = E.T @ E
+        fun = solvers._likelihood(p, cs[:blocks], N, scales[:blocks], anchor, kappa)
+        _, h, beta = fun(np.concatenate(ws[:blocks]))[1]()
+        assert len(h) == blocks * m and len(beta) == blocks
+        for b in range(blocks):
+            want = log_det_diagonal(scales[b], ws[b]) + 2.0 * kappa * T[b, b] * Lmap.T @ Lmap
+            P = np.diag(h[b * m : (b + 1) * m]) + beta[b] * B.T @ B
+            assert np.abs(P - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
@@ -1087,7 +1118,7 @@ def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
     # a_e^T inv(L + N) a_e can cancel to exactly 0, as on the way to the
     # optimum of test_mle_of_a_disconnecting_problem_reaches_the_optimum.  Here
     # R_0 is zeroed by hand at the start point.  h then has a zero, so grad()
-    # returns the bare gradient and SPG starts with a unit-metric step
+    # returns the unit metric (h = 1, beta = 0) and SPG starts with a unit-metric step
     p = 5
     rng = np.random.default_rng(4)
     c = reference_ops.laplacian_adjoint(random_spd(rng, p))
@@ -1105,8 +1136,9 @@ def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
 
     monkeypatch.setattr(solvers, "laplacian_adjoint", cancelled_at_start)
     fun = solvers._likelihood(p, [c], N)
-    g0 = fun(w0)[1]()
-    assert isinstance(g0, np.ndarray) and g0[0] == c[0]  # R_0 = 0 left c_0 alone
+    g0, h0, beta0 = fun(w0)[1]()
+    assert h0 == 1.0 and beta0 == [0.0]
+    assert g0[0] == c[0]  # R_0 = 0 left c_0 alone
     calls.clear()
     w, f, _, iters, conv, _, _ = solvers._spg(fun, w0, 1e-10, 500)
     assert conv and iters > 0 and len(calls) > 1
