@@ -136,7 +136,7 @@ def strategy_s2(
         matched += 1
         open_gate = (value >= tau) if invert else (value < tau)
         positions[t] = 1.0 if open_gate else 0.0
-    if matched == 0 and len(sorted_dates) > 0 and returns.n > 0:
+    if matched == 0 and returns.n > 0:
         raise ValueError("indicator dates do not align with return dates")
 
     # where(...) instead of multiplying keeps flat days at +0.0

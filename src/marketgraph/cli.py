@@ -404,12 +404,12 @@ def _raw_returns(r: dict) -> ReturnsPanel:
 def _prepared_returns(r: dict) -> ReturnsPanel:
     """The returns of ``r["input"]`` as the solvers see them: market removed if asked."""
     returns = _raw_returns(r)
+    col = r["market_column"]
+    if col and col not in returns.tickers:
+        raise ValidationError(f"market column {col!r} not in tickers")
     if r["market"] == "remove":
         market = None
-        if r["market_column"]:
-            col = r["market_column"]
-            if col not in returns.tickers:
-                raise ValidationError(f"market column {col!r} not in tickers")
+        if col:
             idx = returns.tickers.index(col)
             market = returns.returns[:, idx]
             keep = [i for i in range(returns.p) if i != idx]
@@ -468,7 +468,12 @@ def cmd_learn_tv(r: dict, outdir: Path) -> dict:
     t0 = time.perf_counter()
     windows = rolling_windows(returns, r["window"], r["stride"])
     cfg = _solver_config(r)
-    S_seq = [_similarity(chunk, r["scale"]) for chunk in windows]
+    S_seq = []
+    for t, chunk in enumerate(windows):
+        try:
+            S_seq.append(_similarity(chunk, r["scale"]))
+        except ValueError as exc:
+            raise ValidationError(f"window {t} ({chunk.dates[0]} to {chunk.dates[-1]}): {exc}") from None
     L_seq, reports = learn_time_varying(S_seq, [chunk.n for chunk in windows], cfg)
     wall = time.perf_counter() - t0
 

@@ -247,7 +247,7 @@ def _likelihood(p, cs, N, scales=(1.0,), anchor=None, coupling=0.0, dual=None, r
 _GLL_MEMORY = 10
 
 
-def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = None):
+def _spg(fun, w0: np.ndarray, tol: float):
     """Projected gradient over the nonnegative orthant with BB steps in a model metric.
 
     ``fun(w)`` returns ``(value, grad)``, where ``grad()`` computes the
@@ -302,15 +302,11 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
     ``test_mle_of_a_rescaled_correlation_is_the_rescaled_mle`` in
     ``tests/test_solvers.py`` pins this.
 
-    The first trial step is ``step`` when given, else ``1 / max(1,
-    max|d0|)`` with ``d0`` the first direction.  A caller solving a
-    sequence of similar problems passes the step the previous call
-    returned: that BB step has already measured the curvature, where the
-    default only guesses it from the direction's size.
+    The first trial step is ``1 / max(1, max|d0|)`` with ``d0`` the first
+    direction, and a call stops unconverged after ``_INNER_MAX_ITERS``
+    iterations.
 
-    Returns ``(w, f, g, iterations, converged, trace, step)``, where
-    ``step`` is the BB step the next iteration would have opened with
-    (None when the start already met the stop and no ``step`` was given).
+    Returns ``(w, f, g, iterations, converged, trace)``.
     """
     w = np.asarray(w0, dtype=float).copy()
     f, grad = fun(w)
@@ -319,11 +315,11 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
         raise ValueError("infeasible starting point for projected gradient")
     g, h, beta = out
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
-    trace = [f]
-    for it in range(1, max_iter + 1):
+    trace, step = [f], None
+    for it in range(1, _INNER_MAX_ITERS + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if np.abs(resid).max() <= eff_tol:
-            return w, f, g, it - 1, True, trace, step
+            return w, f, g, it - 1, True, trace
         d = _model_direction(w, g, h, beta)
         if step is None:
             step = 1.0 / max(1.0, float(np.abs(d).max()))
@@ -347,7 +343,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
                     break
             t *= 0.5
         if not accepted:
-            return w, f, g, it, False, trace, step
+            return w, f, g, it, False, trace
         g_new, h, beta = out
         # the BB pair (s, y) with s = dw, measured in the model metric at w_new
         sy = float(dw @ (g_new - g))
@@ -359,7 +355,7 @@ def _spg(fun, w0: np.ndarray, tol: float, max_iter: int, step: float | None = No
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
         trace.append(f)
-    return w, f, g, max_iter, False, trace, step
+    return w, f, g, _INNER_MAX_ITERS, False, trace
 
 
 def _model_direction(w, g, h, beta):
@@ -441,7 +437,7 @@ def learn_smooth_graph(Z: np.ndarray, cfg: SolverConfig | None = None):
         return f, lambda: (z - alpha * dual_to_pairs(1.0 / d) + 2.0 * gamma * w, 1.0, [0.0])  # unit metric
 
     w0 = np.full(pair_count(p), 1.0 / (p - 1))
-    w, _, _, iters, conv, trace, _ = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS)
+    w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol)
     L = laplacian_from_weights(w, p)
     return L, _report(L, iters, trace, conv)
 
@@ -527,7 +523,7 @@ def solve_l_subproblem(
     for _ in range(_MAX_OUTER_ITERS):
         fun = _likelihood(p, [c], N, dual=y, rho=rho)
         tol = max(cfg.inner_tol, min(_AL_TOL_CAP, _AL_TOL_RATIO * prev_res))
-        w, _, _, iters, conv_inner, _, _ = _spg(fun, w, tol, _INNER_MAX_ITERS)
+        w, _, _, iters, conv_inner, _ = _spg(fun, w, tol)
         total_iters += iters
         r = degrees_from_weights(w, p) - 1.0
         res = float(np.abs(r).max())
@@ -651,10 +647,9 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     of the last two estimates, floored at half of ``w_{t-1}`` so that every
     edge of ``w_{t-1}`` stays and ``L + 11^T/p`` is PD; otherwise (the first
     two windows, or ``delta = 0``, where the windows are independent MLEs)
-    at ``w_{t-1}``.  From ``t = 1`` on, each SPG call opens with the last
-    BB step of the call before; every window steps in its block model (see
-    :func:`_likelihood`), of one graph or several.  Both read only past
-    estimates, so only data up to and including t is touched and the
+    at ``w_{t-1}``.  Every window steps in its block model (see
+    :func:`_likelihood`), of one graph or several.  The start reads only
+    past estimates, so only data up to and including t is touched and the
     output is a causal sequence: running on a prefix reproduces the prefix
     bit for bit.
 
@@ -685,7 +680,7 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
     # the MLE's cost vectors: ||L||_off,1 = 2 sum(w)
     cs = [laplacian_adjoint(St) + 2.0 * cfg.alpha for St in mats]
 
-    estimates, reports, step = [], [], None
+    estimates, reports = [], []
     weight_hist = [np.full(m, 1.0 / (p - 1))]  # [s + 1] holds graph s; [0] the uniform start
 
     for t in range(len(mats)):
@@ -699,7 +694,7 @@ def learn_time_varying(S_seq, n_seq, cfg: SolverConfig | None = None):
         scales = [n / n_seq[t] for n in n_seq[a : t + 1]]
         anchor = estimates[a - 1] if a > 0 else None
         fun = _likelihood(p, cs[a : t + 1], J, scales, anchor, cfg.delta / n_seq[t])
-        w, _, _, iters, conv, trace, step = _spg(fun, w0, cfg.inner_tol, _INNER_MAX_ITERS, step=step)
+        w, _, _, iters, conv, trace = _spg(fun, w0, cfg.inner_tol)
         L = laplacian_from_weights(w[-m:], p)
         weight_hist.append(w[-m:])
         estimates.append(L)

@@ -94,7 +94,7 @@ def bitwise_equal(a, b) -> bool:
     )
 
 
-def eager_spg(fun, w0, tol, max_iter, step=None):
+def eager_spg(fun, w0, tol):
     """``marketgraph.solvers._spg`` with the gradient computed on every call.
 
     ``fun(w)`` returns ``(value, grad)`` as for the solvers' kernel, but
@@ -121,11 +121,11 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
         raise ValueError("infeasible starting point for projected gradient")
     g, h, beta = model
     eff_tol = tol * max(1.0, float(np.abs(g).max()))
-    trace = [f]
-    for it in range(1, max_iter + 1):
+    trace, step = [f], None
+    for it in range(1, solvers._INNER_MAX_ITERS + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if np.abs(resid).max() <= eff_tol:
-            return w, f, g, it - 1, True, trace, step
+            return w, f, g, it - 1, True, trace
         d = solvers._model_direction(w, g, h, beta)  # the kernel's own direction
         if step is None:
             step = 1.0 / max(1.0, float(np.abs(d).max()))
@@ -145,7 +145,7 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
                 break
             t *= 0.5
         if not accepted:
-            return w, f, g, it, False, trace, step
+            return w, f, g, it, False, trace
         g_new, h, beta = model
         s = w_new - w
         y = g_new - g
@@ -158,4 +158,4 @@ def eager_spg(fun, w0, tol, max_iter, step=None):
         step = min(max(step, 1e-13), 1e13)
         w, f, g = w_new, f_new, g_new
         trace.append(f)
-    return w, f, g, max_iter, False, trace, step
+    return w, f, g, solvers._INNER_MAX_ITERS, False, trace

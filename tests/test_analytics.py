@@ -178,6 +178,8 @@ def test_s2_misaligned_series_raises():
     ind = make_indicators([0.5, 0.5], start_day=100)  # dates far after the panel
     with pytest.raises(ValueError, match="align"):
         strategy_s2(returns, ind, tau=1.0)
+    with pytest.raises(ValueError, match="align"):  # an empty series never invests either
+        strategy_s2(returns, make_indicators([]), tau=1.0)
     twice = IndicatorSeries((day(0), day(0)), np.zeros(2), np.ones(2), np.zeros(1))
     with pytest.raises(ValueError, match="duplicates"):
         strategy_s2(returns, twice, tau=1.0)

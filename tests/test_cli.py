@@ -329,9 +329,10 @@ def test_learn_market_column_is_excluded_from_graph(tmp_path):
     L, labels = read_matrix_csv(out / "laplacian.csv")
     assert "A00" not in labels and L.shape == (5, 5)
 
-    code = main(["learn", "--input", str(data / "prices.csv"), "--market", "remove",
-                 "--market-column", "NOPE", "--output-dir", str(tmp_path / "x")])
-    assert code == EXIT_VALIDATION
+    for market in ("remove", "keep"):
+        code = main(["learn", "--input", str(data / "prices.csv"), "--market", market,
+                     "--market-column", "NOPE", "--output-dir", str(tmp_path / "x")])
+        assert code == EXIT_VALIDATION
 
 
 def test_config_file_bad_boolean(tmp_path, gmrf_prices, capsys):
@@ -1020,6 +1021,16 @@ INPUT_ERRORS = {
         "indicators --input {d}/run", ["laplacian_0001.csv: header A,C differs from the first window's A,B"]),
     "zero-variance asset": ({"p.csv": "date,A,B\n2020-01-01,1,2\n2020-01-02,2,2\n2020-01-03,3,2\n"},
                             "learn --input {d}/p.csv", ["zero-variance asset: B"]),
+    "zero-variance asset in one window": (
+        {"p.csv": "date,A,B\n2020-01-01,1,2\n2020-01-02,2,3\n2020-01-03,3,3\n2020-01-04,4,3\n"
+                  "2020-01-05,3,4\n"},
+        "learn-tv --input {d}/p.csv --window 2",
+        ["window 1 (2020-01-03 to 2020-01-04): zero-variance asset: B"]),
+    "market column under --market keep": ({"p.csv": _PRICES_3}, "learn --input {d}/p.csv --market-column NOPE",
+                                           ["market column 'NOPE' not in tickers"]),
+    "header-only indicators": ({"p.csv": _PRICES_3, "ind.csv": _INDICATORS_HEADER},
+                               "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+                               ["indicator dates do not align with return dates"]),
     "stored matrix with an overflowing spectrum": (
         {"run/laplacian_0000.csv": "A,B\n1.7e308,-1.7e308\n-1.7e308,1.7e308\n", "run/windows.csv": _WINDOWS_1},
         "indicators --input {d}/run", ["window 0: algebraic connectivity is not finite"]),

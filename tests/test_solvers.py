@@ -512,9 +512,9 @@ def test_dual_rounds_follow_the_tolerance_schedule(monkeypatch):
     tols, residuals = [], []
     spg = solvers._spg
 
-    def recording(fun, w0, tol, max_iter):
+    def recording(fun, w0, tol):
         tols.append(tol)
-        out = spg(fun, w0, tol, max_iter)
+        out = spg(fun, w0, tol)
         residuals.append(np.abs(degrees_from_weights(out[0], 10) - 1.0).max())
         return out
 
@@ -658,26 +658,25 @@ def test_tv_solves_each_window_with_one_spg_call(monkeypatch, memory, delta):
 
 
 @pytest.mark.parametrize("memory, delta", [(1, 100.0), (2, 20.0), (1, 0.0), (3, 0.0)])
-def test_tv_windows_start_from_the_extrapolated_estimate_and_the_last_step(monkeypatch, memory, delta):
+def test_tv_windows_start_from_the_extrapolated_estimate(monkeypatch, memory, delta):
     # coupled windows start the newest graph at max(2 w_{t-1} - w_{t-2}, w_{t-1}/2)
     # from t = 2 on, uncoupled ones at w_{t-1}; older blocks keep their stored
-    # estimates, and every call after the first opens with the step the one
-    # before returned, also the first window of two blocks
+    # estimates
     seqs, ns = _similarity_sequence(6, p=6, seed=6, level=lambda t: 0.1 + 0.07 * t)
     m = 15
     calls = []
     spg = solvers._spg
 
-    def recording(fun, w0, tol, max_iter, step=None):
-        out = spg(fun, w0, tol, max_iter, step=step)
-        calls.append((w0.copy(), step, out[0][-m:], out[6]))
+    def recording(fun, w0, tol):
+        out = spg(fun, w0, tol)
+        calls.append((w0.copy(), out[0][-m:]))
         return out
 
     monkeypatch.setattr(solvers, "_spg", recording)
     learn_time_varying(seqs, ns, SolverConfig(delta=delta, memory=memory))
-    assert len(calls) == 6 and calls[0][1] is None
-    w_hist = [np.full(m, 1.0 / 5)] + [w for _, _, w, _ in calls]  # [s + 1] holds graph s
-    for t, (w0, step, _, _) in enumerate(calls):
+    assert len(calls) == 6
+    w_hist = [np.full(m, 1.0 / 5)] + [w for _, w in calls]  # [s + 1] holds graph s
+    for t, (w0, _) in enumerate(calls):
         *older, newest = np.split(w0, len(w0) // m)
         if delta > 0 and t >= 2:
             assert bitwise_equal(newest, np.maximum(2 * w_hist[t] - w_hist[t - 1], 0.5 * w_hist[t]))
@@ -686,8 +685,6 @@ def test_tv_windows_start_from_the_extrapolated_estimate_and_the_last_step(monke
         assert len(older) == (min(memory, t + 1) - 1 if delta > 0 else 0)
         for s, block in enumerate(older, start=t - len(older)):
             assert bitwise_equal(block, w_hist[s + 1])
-        if t:
-            assert step == calls[t - 1][3]
 
 
 @pytest.mark.parametrize("memory, budget", [(1, 400), (2, 2_000), (3, 4_000)])
@@ -697,11 +694,12 @@ def test_rolling_windows_converge_within_an_evaluation_budget(monkeypatch, memor
     # floor here: 5 windows give up after 60 halvings, and the panel takes
     # 7,392 objective evaluations.  The nonmonotone search takes about 1,900,
     # and about 1,500 with each window started at the extrapolated estimate
-    # and the last BB step of the window before.  Stepping in the model
-    # metric, exact on the coupling, takes about 300.  Joint windows of 2 and
-    # 3 graphs took 9,157 and 17,301 evaluations in the unit metric, and
-    # about 1,650 and 3,600 in the block model (each block's diagonal block
-    # of the coupling Hessian plus its log-det diagonal).
+    # and opened with the last BB step of the window before.  Stepping in the
+    # model metric, exact on the coupling, takes about 300, and every window
+    # opens with the default step.  Joint windows of 2 and 3 graphs took 9,157
+    # and 17,301 evaluations in the unit metric, and about 1,850 and 3,600 in
+    # the block model (each block's diagonal block of the coupling Hessian
+    # plus its log-det diagonal).
     returns = simulate_factor_market(20, 70, regimes=((35, 0.1), (35, 0.8)), seed=3).returns.returns
     S_seq = [np.corrcoef(returns[s : s + 30], rowvar=False) for s in range(41)]
     evaluations = []
@@ -974,12 +972,12 @@ def test_spg_backtracks_when_an_accepted_trial_has_no_gradient():
     # from w=0 the first trial is w=1 (step 1/4 along -g=4), which passes
     # Armijo; without its gradient the line search must halve to w=0.5
     fun, calls = _toy_quadratic()
-    w, _, _, _, conv, trace, _ = solvers._spg(fun, np.zeros(1), 1e-10, 100)
+    w, _, _, _, conv, trace = solvers._spg(fun, np.zeros(1), 1e-10)
     assert calls["fun"][:2] == [0.0, 1.0] and trace[1] == 4.5
     assert conv and w[0] == pytest.approx(4.0)
 
     fun, calls = _toy_quadratic(bad_point=1.0)
-    w, _, _, _, conv, trace, _ = solvers._spg(fun, np.zeros(1), 1e-10, 100)
+    w, _, _, _, conv, trace = solvers._spg(fun, np.zeros(1), 1e-10)
     assert calls["fun"][:3] == [0.0, 1.0, 0.5]
     assert calls["grad"][:3] == [0.0, 1.0, 0.5]
     assert trace[1] == 0.5 * 3.5**2
@@ -999,7 +997,7 @@ def test_spg_rejects_an_infeasible_start():
         lambda w: (1.0, lambda: None),
     ):
         with pytest.raises(ValueError, match="infeasible starting point"):
-            solvers._spg(fun, np.ones(3), 1e-7, 10)
+            solvers._spg(fun, np.ones(3), 1e-7)
 
 
 # --- exits of the SPG kernel and the solvers -------------------------------------
@@ -1013,18 +1011,19 @@ def test_spg_stops_when_the_line_search_runs_out_of_halvings():
             return 1.0, lambda: (np.ones(3), 1.0, [0.0])
         return np.inf, None
 
-    w, f, _, iters, conv, trace, _ = solvers._spg(fun, w0, 1e-7, 100)
+    w, f, _, iters, conv, trace = solvers._spg(fun, w0, 1e-7)
     assert conv is False and iters == 1 and trace == [1.0]
     assert np.array_equal(w, w0) and f == 1.0
 
 
-def test_spg_stops_at_max_iter():
+def test_spg_stops_at_max_iter(monkeypatch):
     a, b = np.array([1.0, 10.0, 100.0]), np.array([1.0, 2.0, 3.0])
 
     def fun(w):
         return 0.5 * float(a @ (w - b) ** 2), lambda: (a * (w - b), 1.0, [0.0])
 
-    _, f, _, iters, conv, trace, _ = solvers._spg(fun, np.full(3, 5.0), 1e-12, 3)
+    monkeypatch.setattr(solvers, "_INNER_MAX_ITERS", 3)
+    _, f, _, iters, conv, trace = solvers._spg(fun, np.full(3, 5.0), 1e-12)
     assert conv is False and iters == 3
     assert len(trace) == 4 and trace[-1] == f  # the start and one entry per accepted step
 
@@ -1124,7 +1123,7 @@ def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
     c = reference_ops.laplacian_adjoint(random_spd(rng, p))
     N = np.full((p, p), 1.0 / p)
     w0 = rng.uniform(0.1, 1.0, p * (p - 1) // 2)
-    want = solvers._spg(solvers._likelihood(p, [c], N), w0, 1e-10, 500)
+    want = solvers._spg(solvers._likelihood(p, [c], N), w0, 1e-10)
     adjoint, calls = solvers.laplacian_adjoint, []
 
     def cancelled_at_start(M):
@@ -1140,7 +1139,7 @@ def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
     assert h0 == 1.0 and beta0 == [0.0]
     assert g0[0] == c[0]  # R_0 = 0 left c_0 alone
     calls.clear()
-    w, f, _, iters, conv, _, _ = solvers._spg(fun, w0, 1e-10, 500)
+    w, f, _, iters, conv, _ = solvers._spg(fun, w0, 1e-10)
     assert conv and iters > 0 and len(calls) > 1
     assert np.abs(w - want[0]).max() <= 1e-6 * np.abs(want[0]).max()
     assert f == pytest.approx(want[1], rel=1e-12)
