@@ -81,7 +81,7 @@ def random_k_component_graph(
 ) -> PlantedGraph:
     """Random graph with exactly k connected components.
 
-    Nodes are split into k balanced groups (or the explicit ``sizes``).
+    Nodes are split into k balanced groups (or the k explicit ``sizes``).
     Each group gets a uniform random spanning tree plus extra in-group
     edges with probability ``extra_edge_prob``; weights are uniform in
     ``weight_range``.
@@ -98,6 +98,8 @@ def random_k_component_graph(
     if sizes is None:
         base = p // k
         sizes = tuple(base + (1 if i < p % k else 0) for i in range(k))
+    if len(sizes) != k:
+        raise ValueError(f"{len(sizes)} group sizes given for k={k} components")
     if sum(sizes) != p or any(s < 2 for s in sizes):
         raise ValueError("group sizes must cover all p nodes with >= 2 nodes each")
 

@@ -130,7 +130,6 @@ def eager_spg(fun, w0, tol):
         if step is None:
             step = 1.0 / max(1.0, float(np.abs(d).max()))
         t = step
-        f_ref = max(trace[-10:])
         accepted = False
         for _ in range(60):
             w_new = np.maximum(w - t * d, 0.0)
@@ -140,7 +139,7 @@ def eager_spg(fun, w0, tol):
                 t *= 0.5
                 continue
             f_new, model = evaluate(w_new)
-            if np.isfinite(f_new) and f_new <= f_ref + 1e-4 * gd:
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * gd + solvers._ROUNDING_BAND * abs(f):
                 accepted = True
                 break
             t *= 0.5

@@ -38,6 +38,9 @@ def test_planted_rejects_small_components():
         random_k_component_graph(5, 3, seed=0)
     with pytest.raises(ValueError, match="group sizes"):
         random_k_component_graph(5, 2, sizes=(1, 4), seed=0)
+    # three groups are three components, whatever k says
+    with pytest.raises(ValueError, match="3 group sizes given for k=2 components"):
+        random_k_component_graph(10, 2, sizes=(3, 3, 4), seed=0)
 
 
 def test_planted_explicit_sizes_and_weight_range():
