@@ -161,9 +161,10 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     """Read and validate a price CSV (header ``date,<ticker>,...``).
 
     Rows with missing (blank or non-finite) cells are dropped, or
-    forward-filled when ``ffill`` is set.  A repeated ticker is an error
-    naming it; duplicate dates, non-monotone dates and non-numeric or
-    non-positive cells are errors reported with their row number.
+    forward-filled when ``ffill`` is set.  A blank ticker name is an
+    error naming its column, a repeated ticker one naming it; duplicate
+    dates, non-monotone dates and non-numeric or non-positive cells are
+    errors reported with their row number.
     """
     path = Path(path)
     if not path.exists():
@@ -177,6 +178,8 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     tickers = tuple(header[1:])
     if not tickers:
         raise ValidationError(f"{path}: no ticker columns")
+    if "" in tickers:
+        raise ValidationError(f"{path}: column {tickers.index('') + 2} of the header has no ticker name")
     if len(set(tickers)) < len(tickers):
         repeated = next(t for i, t in enumerate(tickers) if t in tickers[:i])
         raise ValidationError(f"{path}: repeated ticker {repeated!r} in the header")

@@ -194,6 +194,9 @@ def simulate_factor_market(
         regimes = ((n, 0.2),)
     lengths = [int(length) for length, _ in regimes]
     levels = [float(c) for _, c in regimes]
+    for i, length in enumerate(lengths):
+        if length < 1:
+            raise ValueError(f"regime {i} has length {length}; every regime needs at least one row")
     if sum(lengths) != n:
         raise ValueError(f"regime lengths sum to {sum(lengths)}, expected n={n}")
     if any(not 0.0 <= c < 1.0 for c in levels):

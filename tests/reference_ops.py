@@ -120,15 +120,12 @@ def eager_spg(fun, w0, tol):
     if not np.isfinite(f):
         raise ValueError("infeasible starting point for projected gradient")
     g, h, beta = model
-    eff_tol = tol * max(1.0, float(np.abs(g).max()))
-    trace, step = [f], None
+    trace, step = [f], 1.0
     for it in range(1, solvers._INNER_MAX_ITERS + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
-        if np.abs(resid).max() <= eff_tol:
+        if (np.abs(resid) / np.sqrt(h)).max() <= tol:
             return w, f, g, it - 1, True, trace
         d = solvers._model_direction(w, g, h, beta)  # the kernel's own direction
-        if step is None:
-            step = 1.0 / max(1.0, float(np.abs(d).max()))
         t = step
         accepted = False
         for _ in range(60):

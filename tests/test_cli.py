@@ -1013,6 +1013,13 @@ INPUT_ERRORS = {
                          ["extra_edge_prob must be a probability in [0, 1], got -1.0"]),
     "reversed beta range": ({}, "synth --mode factor --beta-min 2 --beta-max 1",
                             ["beta_range must run from low to high, got (2.0, 1.0)"]),
+    "blank ticker": ({"p.csv": "date,,B,C\n2020-01-01,1,2,3\n2020-01-02,2,3,4\n2020-01-03,3,1,2\n"},
+                     "learn --input {d}/p.csv", ["p.csv: column 2 of the header has no ticker name"]),
+    "negative regime length": ({}, "synth --mode factor --regimes=-10:0.1,239:0.2",
+                               ["regime 0 has length -10; every regime needs at least one row"]),
+    "empty first regime": ({}, "synth --mode factor --regimes 0:0.1,229:0.2", ["regime 0 has length 0"]),
+    "empty regime past the last row": ({}, "synth --mode factor --regimes 229:0.2,0:0.5",
+                                       ["regime 1 has length 0"]),
     "repeated ticker": ({"p.csv": "date,A,B,A\n2020-01-01,1,2,3\n2020-01-02,2,3,4\n2020-01-03,3,1,2\n"},
                         "learn --input {d}/p.csv", ["p.csv: repeated ticker 'A' in the header"]),
     "stored matrices with different headers": (

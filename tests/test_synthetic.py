@@ -123,6 +123,12 @@ def test_factor_market_determinism_and_shapes():
         simulate_factor_market(4, 30, regimes=((10, 0.1),), seed=0)
     with pytest.raises(ValueError, match="correlation levels"):
         simulate_factor_market(4, 30, regimes=((30, 1.0),), seed=0)
+    # a regime below one row: negative, empty at the start, empty past the last row
+    for regimes, bad in ((((-10, 0.1), (40, 0.2)), "regime 0 has length -10"),
+                         (((0, 0.1), (30, 0.2)), "regime 0 has length 0"),
+                         (((30, 0.2), (0, 0.5)), "regime 1 has length 0")):
+        with pytest.raises(ValueError, match=bad):
+            simulate_factor_market(4, 30, regimes=regimes, seed=0)
 
 
 # --- score_recovery -----------------------------------------------------------
