@@ -90,9 +90,7 @@ _OUTER_TOL = 1e-5  # learn_k_component stops once L moves less (relative)
 # previous round's degree residual, clipped to [inner_tol, _AL_TOL_CAP]
 _AL_TOL_CAP = 1e-3
 _AL_TOL_RATIO = 1e-2
-# learn_k_component's seed L-step ends at the first dual round whose k-subspace
-# projector V V^T moved at most this far (spectral norm) since the round before
-_SEED_SUBSPACE_TOL = 1e-2
+_SEED_TOL = 1e-1  # inner_tol of learn_k_component's seed, a loose connected MLE
 _DEGREE_TOL = 1e-7  # max |deg - 1| of a converged L-step, tighter than the 1e-6 exit contract
 # an SPG trial may pass the Armijo test this far (relative to |f|) above the current value
 _ROUNDING_BAND = 1e-10
@@ -109,10 +107,10 @@ class SolverConfig:
 
     ``inner_tol`` is the KKT tolerance of every SPG call, in the model
     metric (see :func:`_spg`), save the early dual rounds of
-    :func:`solve_l_subproblem`, which run looser; its final round runs at
-    ``inner_tol``, except in the rough seed step of
-    :func:`learn_k_component`.  ``alpha`` is the sparsity weight of the MLE penalty, in
-    the MLE and in every time-varying window, and for the smooth baseline
+    :func:`solve_l_subproblem`, which run looser, and the seed of
+    :func:`learn_k_component`, a connected MLE solved to ``_SEED_TOL``.
+    ``alpha`` is the sparsity weight of the MLE penalty, in the MLE and in
+    every time-varying window, and for the smooth baseline
     the log-degree barrier weight; the k-component solver leaves it out, as
     unit degrees fix sum(w) = p/2 and make it a constant.  ``gamma`` is the
     Frobenius weight of the smooth baseline, ``eta`` the spectral (rank)
@@ -155,8 +153,7 @@ class SolveReport:
     and each time-varying window; ``tr(LK) - log det(L + N)`` after each
     dual round for :func:`solve_l_subproblem`; for :func:`learn_k_component`
     the relaxed objective after its first full L-step, then before and after
-    every later one (never at its rough seed step's degree-infeasible
-    result).
+    every later one (never at its seed, a degree-infeasible loose MLE).
     """
 
     iterations: int
@@ -358,6 +355,10 @@ def _model_direction(w, g, h, beta):
     On F, per block with ``beta[b] != 0``, Woodbury turns the m-by-m solve
     into a p-by-p one: with ``u = g / h`` and ``q = 1 / h`` on F (zero off
     it), ``d = u - q (B^T z)`` where ``(I / beta[b] + B diag(q) B^T) z = B u``.
+    Where that system is exactly singular (at ``beta[b]`` near the AL's
+    ``rho`` cap of 1e10, ``I / beta[b]`` is lost against entries of ``B
+    diag(q) B^T``), the block keeps ``d = g / h``, as ``grad()`` falls back
+    to the unit metric where its model fails.
     """
     d, m = g / h, len(g) // len(beta)
     for b, beta_b in enumerate(beta):
@@ -368,7 +369,10 @@ def _model_direction(w, g, h, beta):
             q = np.where(active, 0.0, 1.0 / h[blk])
             Q = np.abs(laplacian_from_weights(q))  # B diag(q) B^T: degrees of q on the diagonal, q off it
             Q.flat[:: len(Q) + 1] += 1.0 / beta_b
-            z = np.linalg.solve(Q, degrees_from_weights(np.where(active, 0.0, u)))
+            try:
+                z = np.linalg.solve(Q, degrees_from_weights(np.where(active, 0.0, u)))
+            except np.linalg.LinAlgError:  # singular: this block keeps g / h
+                continue
             u -= q * dual_to_pairs(z)
     return d
 
@@ -453,8 +457,6 @@ def solve_l_subproblem(
     cfg: SolverConfig | None = None,
     w0: np.ndarray | None = None,
     null_basis: np.ndarray | None = None,
-    *,
-    _seed_k: int = 0,
 ):
     """Degree-constrained Laplacian MLE step.
 
@@ -484,11 +486,6 @@ def solve_l_subproblem(
     degrees.  If no round ends the solve within ``_MAX_OUTER_ITERS`` dual
     rounds the last iterate is returned flagged unconverged.
 
-    ``_seed_k`` (private, for :func:`learn_k_component`'s seed step) also
-    ends the solve, unconverged, at the first round after which the
-    projector onto the ``_seed_k`` smallest eigenvectors of L(w) moved at
-    most ``_SEED_SUBSPACE_TOL`` in spectral norm since the round before.
-
     Returns ``(L, report)``.
     """
     cfg = cfg or SolverConfig()
@@ -509,7 +506,6 @@ def solve_l_subproblem(
     trace = []
     prev_res = np.inf
     converged = False
-    projector = None
 
     for _ in range(_MAX_OUTER_ITERS):
         fun = _likelihood(p, [c], N, dual=y, rho=rho)
@@ -522,11 +518,6 @@ def solve_l_subproblem(
         if res <= _DEGREE_TOL and conv_inner and tol == cfg.inner_tol:
             converged = True
             break
-        if _seed_k:
-            V = fan_subspace(laplacian_from_weights(w, p), _seed_k)
-            previous, projector = projector, V @ V.T
-            if previous is not None and np.linalg.norm(projector - previous, 2) <= _SEED_SUBSPACE_TOL:
-                break
         y = y + rho * r
         if res > 0.25 * prev_res:
             rho = min(rho * 10.0, 1e10)
@@ -549,16 +540,16 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     is nonincreasing across both half-updates (both the eigenvector step and
     the convex step minimize it exactly in their own block).
 
-    The alternation opens with a rough seed: the degree-constrained step
-    from uniform weights, ended at the first dual round where its k-subspace
-    settles (see ``_seed_k`` of :func:`solve_l_subproblem`).  It serves only
-    to place the first subspace and the first warm start, so it is usually
-    unconverged and degree-infeasible, and the report does not require it
-    to converge; it converges only if every later, full L-step did.  The
-    report's ``iterations`` still counts the seed's SPG iterations.  A full
-    step whose result is above its warm start ends the alternation at the
-    warm start, but only if the warm start meets the degree tolerance;
-    otherwise the step's result is kept.
+    The alternation opens with a seed: the connected MLE of S (``alpha =
+    0``), solved to ``_SEED_TOL`` and scaled to ``tr L = p``, the trace of
+    every unit-degree Laplacian; a positive scale leaves its subspace as it
+    is.  It serves only to place the first subspace and the first warm
+    start, so it is usually degree-infeasible, and the report does not
+    require it to converge; it converges only if every later, full L-step
+    did.  The report's ``iterations`` still counts the seed's SPG
+    iterations.  A full step whose result is above its warm start ends the
+    alternation at the warm start, but only if the warm start meets the
+    degree tolerance; otherwise the step's result is kept.
 
     The objective trace holds the relaxed objective, each value the step's
     likelihood ``tr(LK) - log det(L + V V^T)`` with ``K = S + eta V V^T``:
@@ -575,9 +566,10 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     if k >= p:
         raise ValueError(f"component count k={k} must be smaller than p={p}")
 
-    L, rep = solve_l_subproblem(S, cfg, _seed_k=k)
+    (L,), (rep,) = learn_time_varying([S], [1], SolverConfig(inner_tol=_SEED_TOL))
+    L = L * (p / np.trace(L))
     w = weights_from_laplacian(L)
-    w_degree = rep.constraint_residuals["degree"]
+    w_degree = float(np.abs(np.diag(L) - 1.0).max())
 
     trace: list[float] = []
     total_iters = rep.iterations  # the seed's SPG iterations count too

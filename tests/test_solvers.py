@@ -9,11 +9,13 @@ from scipy.optimize import minimize
 from marketgraph import solvers
 from marketgraph.laplacian import (
     degrees_from_weights,
+    laplacian_adjoint,
     laplacian_from_weights,
     num_components,
     pair_indices,
     spectral_summary,
     validate_laplacian,
+    weights_from_laplacian,
 )
 from marketgraph.preprocessing import correlation_from_covariance, sample_covariance
 from marketgraph.solvers import (
@@ -364,22 +366,28 @@ def _planted_k2_similarity(sample_seed=2):
 def test_k_component_trace_holds_the_documented_objectives(monkeypatch, sample_seed, rejects):
     # tr(LS) - log det(L + VV^T) + eta tr(V^T L V) with each full L-step's
     # subspace V: after the first step, then before and after every later
-    # one, never at the rough seed step's result
+    # one, never at the seed
     S = _planted_k2_similarity(sample_seed)
-    steps = []
-    l_step = solvers.solve_l_subproblem
+    seeds, outer = [], []
+    tv, l_step = solvers.learn_time_varying, solvers.solve_l_subproblem
 
-    def capturing(K, cfg=None, w0=None, null_basis=None, **private):
-        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis, **private)
-        steps.append((null_basis, L, private))
+    def seed_capturing(*args):
+        out = tv(*args)
+        seeds.append(out[0][0])
+        return out
+
+    def capturing(K, cfg=None, w0=None, null_basis=None):
+        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis)
+        outer.append((null_basis, L))
         return L, rep
 
+    monkeypatch.setattr(solvers, "learn_time_varying", seed_capturing)
     monkeypatch.setattr(solvers, "solve_l_subproblem", capturing)
     cfg = SolverConfig(k=2)
     L_out, report = learn_k_component(S, cfg)
-    (V0, L, seed_args), *outer = steps
-    assert V0 is None and seed_args == {"_seed_k": 2} and len(outer) > 1
-    assert all(not private for _, _, private in outer)
+    (L_mle,) = seeds
+    L = L_mle * (10 / np.trace(L_mle))  # the seed: the MLE scaled to trace p
+    assert len(outer) > 1
 
     def relaxed(L, V):
         return (np.sum(L * S) - np.linalg.slogdet(L + V @ V.T)[1]
@@ -395,7 +403,7 @@ def test_k_component_trace_holds_the_documented_objectives(monkeypatch, sample_s
     # warm start
     assert not feasible(L)
     want, rejected = [], 0
-    for i, (V, L_new, _) in enumerate(outer):
+    for i, (V, L_new) in enumerate(outer):
         assert not rejected  # the alternation stops at a rejected step
         before, after = relaxed(L, V), relaxed(L_new, V)
         if i:
@@ -416,7 +424,7 @@ def test_k_component_trace_holds_the_documented_objectives(monkeypatch, sample_s
     lambda: learn_k_component(_planted_k2_similarity(), SolverConfig(k=2)),
 ], ids=["l_subproblem", "k_component"])
 def test_report_iterations_sum_every_spg_call(monkeypatch, solve):
-    # the k-component solver's rough seed step counts too
+    # the k-component solver's seed counts too
     iterations = []
     spg = solvers._spg
 
@@ -430,69 +438,103 @@ def test_report_iterations_sum_every_spg_call(monkeypatch, solve):
     assert report.iterations == sum(iterations)
 
 
-@pytest.mark.parametrize("sample_seed, rounds", [(2, 2), (3, 4)])
-def test_k_component_seed_ends_once_its_subspace_settles(monkeypatch, sample_seed, rounds):
-    # the seed step keeps solve_l_subproblem's dual rounds and ends at the
-    # first round whose k-subspace projector moved <= _SEED_SUBSPACE_TOL
-    # (spectral norm) since the round before, unconverged
-    S = _planted_k2_similarity(sample_seed)
-    seed_rounds, seed_reports = [], []
-    spg, l_step = solvers._spg, solvers.solve_l_subproblem
+def _factor_covariance():
+    # daily-return covariances: entries about 1e-4
+    return sample_covariance(simulate_factor_market(p=10, n=500, seed=0).returns)
 
-    def recording(*args, **kwargs):
-        out = spg(*args, **kwargs)
-        if not seed_reports:  # still inside the seed step
-            seed_rounds.append(out[0])
+
+@pytest.mark.parametrize("similarity", [_planted_k2_similarity, _factor_covariance],
+                         ids=["correlation", "covariance"])
+def test_k_component_seed_is_the_loose_mle_scaled_to_trace_p(monkeypatch, similarity):
+    # the seed is the connected MLE of S to inner_tol _SEED_TOL, with alpha
+    # 0 whatever the config's, times p / tr L; the first full L-step starts
+    # from its weights, in its k-subspace
+    S = similarity()
+    seed_calls, l_steps = [], []
+    tv, l_step = solvers.learn_time_varying, solvers.solve_l_subproblem
+
+    def seed_capturing(S_seq, n_seq, cfg):
+        out = tv(S_seq, n_seq, cfg)
+        seed_calls.append((S_seq, n_seq, cfg, out[0][0]))
         return out
 
-    def capturing(*args, **kwargs):
-        L, rep = l_step(*args, **kwargs)
-        seed_reports.append((L, rep))
-        return L, rep
+    def capturing(K, cfg=None, w0=None, null_basis=None):
+        l_steps.append((w0, null_basis))
+        return l_step(K, cfg, w0=w0, null_basis=null_basis)
 
-    monkeypatch.setattr(solvers, "_spg", recording)
+    monkeypatch.setattr(solvers, "learn_time_varying", seed_capturing)
     monkeypatch.setattr(solvers, "solve_l_subproblem", capturing)
-    learn_k_component(S, SolverConfig(k=2))
-    L_seed, rep = seed_reports[0]
-    projectors = [V @ V.T for V in (fan_subspace(laplacian_from_weights(w), 2) for w in seed_rounds)]
-    moves = [np.linalg.norm(b - a, 2) for a, b in zip(projectors, projectors[1:])]
-    assert len(seed_rounds) == rounds and not rep.converged
-    assert moves[-1] <= solvers._SEED_SUBSPACE_TOL
-    assert all(move > solvers._SEED_SUBSPACE_TOL for move in moves[:-1])
-    assert bitwise_equal(L_seed, laplacian_from_weights(seed_rounds[-1]))
-    assert rep.constraint_residuals["degree"] > solvers._DEGREE_TOL  # the seed is rough
+    learn_k_component(S, SolverConfig(k=2, alpha=0.3))
+    ((S_seq, n_seq, seed_cfg, L_mle),) = seed_calls
+    assert seed_cfg == SolverConfig(inner_tol=solvers._SEED_TOL)
+    assert len(S_seq) == 1 and np.array_equal(S_seq[0], S) and n_seq == [1]
+    monkeypatch.undo()
+    assert bitwise_equal(L_mle, learn_connected_mle(S, seed_cfg)[0])
+
+    p = len(S)
+    seed = L_mle * (p / np.trace(L_mle))
+    assert np.trace(seed) == pytest.approx(p, rel=1e-14)
+    assert np.abs(np.diag(seed) - 1.0).max() > solvers._DEGREE_TOL  # the seed is rough
+    w0, V = l_steps[0]
+    assert bitwise_equal(w0, weights_from_laplacian(seed))
+    U = fan_subspace(L_mle, 2)
+    assert np.linalg.norm(V @ V.T - U @ U.T, 2) <= 1e-10
+
+
+def test_k_component_converges_on_covariance_scale_input():
+    # the MLE of a 1e-4-scale S is a Laplacian of about 1e4, which the seed
+    # scales to trace p before the first L-step
+    L, report = learn_k_component(_factor_covariance(), SolverConfig(k=2))
+    assert report.converged and num_components(L) == 2
+    assert report.constraint_residuals["degree"] <= 1e-6
+
+
+def test_k_component_leaves_alpha_out():
+    # unit degrees fix sum(w) = p/2, so alpha is a constant there, seed included
+    S = _planted_k2_similarity()
+    L0, report0 = learn_k_component(S, SolverConfig(k=2))
+    L1, report1 = learn_k_component(S, SolverConfig(k=2, alpha=0.3))
+    assert bitwise_equal(L0, L1) and report0.iterations == report1.iterations
+    assert bitwise_equal(report0.objective_trace, report1.objective_trace)
 
 
 def test_k_component_never_returns_an_infeasible_warm_start(monkeypatch):
-    # a seed scaled off unit degrees: c L* with L* the k-component solution
-    # and c = (p - k) / tr(L* S), which minimizes the relaxed objective along
-    # the ray, so the seed lies below the first full step's result; a guard
-    # that kept any warm start better than the step's result would return
-    # it, with degree residual |c - 1| ~ 0.23
+    # a trace-p seed off unit degrees: w* (the k-component solution) moved
+    # against the mean-removed gradient of the relaxed objective on its
+    # positive pairs, which keeps sum(w), the support and so the subspace,
+    # and lowers the objective below L*'s, so below the first full step's
+    # result; a guard that kept any warm start better than the step's result
+    # would return it, with degree residual ~0.05
     S = _planted_k2_similarity()
     cfg = SolverConfig(k=2)
     L_star, _ = learn_k_component(S, cfg)
-    c = (10 - 2) / np.sum(L_star * S)
-    seeds, full_steps = [], []
-    l_step = solvers.solve_l_subproblem
+    V = fan_subspace(L_star, 2)
+    N = V @ V.T
+    w_star = weights_from_laplacian(L_star)
+    g = laplacian_adjoint(S + cfg.eta * N) - laplacian_adjoint(np.linalg.inv(L_star + N))
+    positive = w_star > 0.0
+    seed = laplacian_from_weights(w_star - 0.05 * np.where(positive, g - g[positive].mean(), 0.0))
+    full_steps = []
+    tv, l_step = solvers.learn_time_varying, solvers.solve_l_subproblem
 
-    def rough_seed(K, cfg=None, w0=None, null_basis=None, **private):
-        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis, **private)
-        if not private:
-            full_steps.append((null_basis, rep))
-            return L, rep
-        L = c * L_star
-        seeds.append(L)
-        return L, solvers._report(L, rep.iterations, rep.objective_trace, False,
-                                  float(np.abs(np.diag(L) - 1.0).max()))
+    def infeasible_seed(*args):
+        _, reports = tv(*args)
+        return [seed], reports
 
-    monkeypatch.setattr(solvers, "solve_l_subproblem", rough_seed)
+    def capturing(K, cfg=None, w0=None, null_basis=None):
+        L, rep = l_step(K, cfg, w0=w0, null_basis=null_basis)
+        full_steps.append((null_basis, rep))
+        return L, rep
+
+    monkeypatch.setattr(solvers, "learn_time_varying", infeasible_seed)
+    monkeypatch.setattr(solvers, "solve_l_subproblem", capturing)
     L, report = learn_k_component(S, cfg)
-    (seed,), (V, first) = seeds, full_steps[0]
+    V, first = full_steps[0]
     seed_objective = (np.sum(seed * S) - np.linalg.slogdet(seed + V @ V.T)[1]
                       + cfg.eta * np.trace(V.T @ seed @ V))
     assert seed_objective < first.objective_trace[-1]
-    assert np.abs(np.diag(seed) - 1.0).max() > 0.2
+    assert np.trace(seed) == pytest.approx(10, rel=1e-8)
+    assert np.abs(np.diag(seed) - 1.0).max() > 0.04
     degree = float(np.abs(np.diag(L) - 1.0).max())
     assert degree <= 1e-6
     assert report.constraint_residuals["degree"] == degree
@@ -1053,6 +1095,21 @@ def test_model_direction_is_the_dense_solve_on_the_free_set(p):
         assert bitwise_equal(solvers._model_direction(w, g, h, [0.0] * blocks), g / h)
         # the unit metric is its own gradient, bit for bit
         assert bitwise_equal(solvers._model_direction(w, g, 1.0, [0.0] * blocks), g)
+
+
+def test_a_singular_woodbury_system_keeps_the_diagonal_direction():
+    # p = 2 at beta = 1e300: I / beta vanishes next to B diag(q) B^T =
+    # [[1, 1], [1, 1]], so the Woodbury system is exactly singular
+    g, h = np.array([0.5]), np.array([1.0])
+    assert bitwise_equal(solvers._model_direction(np.array([1.0]), g, h, [1e300]), g / h)
+    # through the public API: the AL's rho climbs to its cap of 1e10 on a
+    # covariance-scale K, where Q's entries reach about 1e10; the L-step
+    # ends flagged unconverged instead of raising LinAlgError
+    S = _factor_covariance()
+    L0, _ = learn_connected_mle(S, SolverConfig(inner_tol=1e-1))
+    V = fan_subspace(L0, 2)
+    _, report = solve_l_subproblem(S + 10.0 * V @ V.T, w0=weights_from_laplacian(L0), null_basis=V)
+    assert not report.converged and report.constraint_residuals["degree"] > 1.0
 
 
 @pytest.mark.parametrize("coupled, dual", [(True, False), (False, True), (True, True), (False, False)])
