@@ -294,21 +294,28 @@ def write_indicators_csv(path, indicators) -> None:
 
 
 def read_indicators_csv(path):
-    """The indicator series of ``path``; time_consistency is blank on the first row only."""
+    """The indicator series of ``path``: finite numbers, time_consistency blank on the first row only."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"indicator file not found: {path}")
     rows = _read_rows(path)
     if not rows or rows[0] != INDICATORS_HEADER:
         raise ValidationError(f"{path}: not an indicators CSV")
+
+    def number(rn, cell, column):  # compute_indicators writes finite values only
+        v = _parse_cell(path, rn, cell, "number", column)
+        if not math.isfinite(v):
+            raise ValidationError(f"{path}: row {rn}, column {column}: non-finite cell {cell!r}")
+        return v
+
     dates, lam2, lmax, cons = [], [], [], []
     for rn, row in enumerate(rows[1:], start=2):
         _check_cells(path, rn, row, len(INDICATORS_HEADER))
         dates.append(_parse_cell(path, rn, row[0], "date"))
-        lam2.append(_parse_cell(path, rn, row[1], "number", INDICATORS_HEADER[1]))
-        lmax.append(_parse_cell(path, rn, row[2], "number", INDICATORS_HEADER[2]))
+        lam2.append(number(rn, row[1], INDICATORS_HEADER[1]))
+        lmax.append(number(rn, row[2], INDICATORS_HEADER[2]))
         if rn > 2:
-            cons.append(_parse_cell(path, rn, row[3], "number", INDICATORS_HEADER[3]))
+            cons.append(number(rn, row[3], INDICATORS_HEADER[3]))
         elif row[3].strip():
             raise ValidationError(f"{path}: row 2, column {INDICATORS_HEADER[3]}: "
                                   f"expected a blank cell on the first row, got {row[3]!r}")

@@ -93,18 +93,15 @@ def pair_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs.iu, pairs.ju
 
 
-def laplacian_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
+def laplacian_from_weights(w: np.ndarray) -> np.ndarray:
     """Map a weight vector to the combinatorial Laplacian L = D - W.
 
     Off-diagonal entries are -w for the corresponding pair; the diagonal
     carries the node degrees so that row sums vanish.  Symmetry is exact by
-    construction; row sums vanish to machine precision.
+    construction; row sums vanish to machine precision.  ``len(w)`` fixes p.
     """
     w = np.asarray(w, dtype=float)
-    if p is None:
-        p = node_count(w.shape[0])
-    elif w.shape[0] != pair_count(p):
-        raise ValueError(f"weight vector length {w.shape[0]} does not match p={p}")
+    p = node_count(w.shape[0])
     flat = np.zeros(p * p)
     flat[_pairs(p).upper] = -w
     L = flat.reshape(p, p)
@@ -138,11 +135,10 @@ def edge_indices(w: np.ndarray) -> np.ndarray:
     return np.flatnonzero(w > 1e-4 * (w.max() if w.size else 0.0))
 
 
-def degrees_from_weights(w: np.ndarray, p: int | None = None) -> np.ndarray:
-    """Node degrees d_i = sum of weights incident to node i."""
+def degrees_from_weights(w: np.ndarray) -> np.ndarray:
+    """Node degrees d_i = sum of weights incident to node i; p is read off ``len(w)``."""
     w = np.asarray(w, dtype=float)
-    if p is None:
-        p = node_count(w.shape[0])
+    p = node_count(w.shape[0])
     # bincount adds in input order: every pair through its row end, then
     # through its column end
     return np.bincount(_pairs(p).nodes, weights=np.concatenate([w, w]), minlength=p)
@@ -169,9 +165,9 @@ def laplacian_adjoint(M: np.ndarray) -> np.ndarray:
 
 
 def zero_eigenvalue_tolerance(eigenvalues: np.ndarray) -> float:
-    """Scale-invariant threshold below which an eigenvalue counts as zero."""
+    """1e-8 * lambda_max (the last of the ascending ``eigenvalues``): c * L has L's nullity at every c > 0."""
     lam_max = float(eigenvalues[-1]) if len(eigenvalues) else 0.0
-    return 1e-8 * max(1.0, lam_max)
+    return 1e-8 * lam_max
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,7 @@ class SpectralSummary:
 def spectral_summary(L: np.ndarray) -> SpectralSummary:
     """Eigenvalues (ascending) plus nullity, Fiedler value and spectral radius.
 
-    Eigenvalues up to the fixed 1e-8 * max(1, lambda_max) count as zero.
+    Eigenvalues up to 1e-8 * lambda_max count as zero.
     The algebraic connectivity is the second smallest eigenvalue regardless
     of nullity: it is zero exactly when the graph is disconnected.
     """
@@ -205,7 +201,7 @@ def spectral_summary(L: np.ndarray) -> SpectralSummary:
 
 
 def num_components(L: np.ndarray) -> int:
-    """Number of graph components: the count of eigenvalues <= 1e-8 * max(1, lambda_max)."""
+    """Number of graph components: the count of eigenvalues <= 1e-8 * lambda_max."""
     return spectral_summary(L).nullity
 
 

@@ -131,7 +131,7 @@ def random_k_component_graph(
                 if rng.random() < extra_edge_prob:
                     w[index_of[edge]] = rng.uniform(lo, hi)
 
-    L = laplacian_from_weights(w, p)
+    L = laplacian_from_weights(w)
     support = frozenset(
         (int(i), int(j)) for i, j, wv in zip(iu, ju, w) if wv > 0
     )

@@ -20,10 +20,9 @@ def pair_indices(p):
     return np.triu_indices(p, k=1)
 
 
-def laplacian_from_weights(w, p=None):
+def laplacian_from_weights(w):
     w = np.asarray(w, dtype=float)
-    if p is None:
-        p = node_count(w.shape[0])
+    p = node_count(w.shape[0])
     L = np.zeros((p, p))
     L[np.triu_indices(p, k=1)] = -w
     L += L.T
@@ -38,10 +37,9 @@ def laplacian_adjoint(M):
     return d[iu] + d[ju] - M[iu, ju] - M[ju, iu]
 
 
-def degrees_from_weights(w, p=None):
+def degrees_from_weights(w):
     w = np.asarray(w, dtype=float)
-    if p is None:
-        p = node_count(w.shape[0])
+    p = node_count(w.shape[0])
     iu, ju = np.triu_indices(p, k=1)
     d = np.zeros(p)
     np.add.at(d, iu, w)
@@ -56,7 +54,7 @@ def dual_to_pairs(v):
 
 
 def log_gdet(L):
-    """Log pseudo-determinant: sum of logs of the eigenvalues above 1e-8 * max(1, lambda_max).
+    """Log pseudo-determinant: sum of logs of the eigenvalues above 1e-8 * lambda_max.
 
     For a connected graph this equals log det(L + (1/p) 11^T) because the
     rank-one correction fills exactly the constant-vector null direction

@@ -1050,6 +1050,15 @@ INPUT_ERRORS = {
          "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,\n2020-01-03,1.0,2.0,0.5\n2020-01-04,1.0,2.0,\n"},
         "backtest --input {d}/p.csv --indicators {d}/ind.csv",
         ["ind.csv: row 4, column time_consistency: non-numeric cell ''"]),
+    **{f"{cell} {column} in indicators": (
+        {"p.csv": _PRICES_3,
+         "ind.csv": _INDICATORS_HEADER + "2020-01-02,1.0,2.0,\n2020-01-03," + row + "\n"},
+        "backtest --input {d}/p.csv --indicators {d}/ind.csv",
+        [f"ind.csv: row 3, column {column}: non-finite cell '{cell}'"])
+       for cell, column, row in (("nan", "algebraic_connectivity", "nan,2.0,0.5"),
+                                 ("inf", "algebraic_connectivity", "inf,2.0,0.5"),
+                                 ("1e999", "spectral_radius", "1.0,1e999,0.5"),
+                                 ("-inf", "time_consistency", "1.0,2.0,-inf"))},
 }
 
 

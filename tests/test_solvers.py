@@ -551,7 +551,7 @@ def test_dual_rounds_follow_the_tolerance_schedule(monkeypatch):
     def recording(fun, w0, tol):
         tols.append(tol)
         out = spg(fun, w0, tol)
-        residuals.append(np.abs(degrees_from_weights(out[0], 10) - 1.0).max())
+        residuals.append(np.abs(degrees_from_weights(out[0]) - 1.0).max())
         return out
 
     monkeypatch.setattr(solvers, "_spg", recording)
@@ -761,7 +761,7 @@ def _joint_program(seqs, ns, delta):
 
     def fg(x):
         W = x.reshape(T, -1)
-        Ls = [reference_ops.laplacian_from_weights(w, p) for w in W]
+        Ls = [reference_ops.laplacian_from_weights(w) for w in W]
         f, G = 0.0, np.zeros_like(W)
         for s in range(T):
             sign, logdet = np.linalg.slogdet(Ls[s] + J)
@@ -791,7 +791,7 @@ def test_tv_full_memory_matches_the_joint_program(delta):
     res = minimize(_joint_program(seqs, ns, delta), np.full(3 * m, 1.0 / 7), jac=True,
                    method="L-BFGS-B", bounds=[(0.0, None)] * (3 * m),
                    options=dict(maxiter=50000, maxfun=100000, ftol=0.0, gtol=1e-12, maxcor=30))
-    L_oracle = reference_ops.laplacian_from_weights(res.x[-m:], 8)
+    L_oracle = reference_ops.laplacian_from_weights(res.x[-m:])
     assert np.abs(L_last - L_oracle).max() <= 1e-4
 
 
@@ -1120,20 +1120,20 @@ def test_likelihood_model_is_the_penalty_hessian_plus_the_log_det_diagonal(coupl
     N = np.full((p, p), 1.0 / p)
     cs = [reference_ops.laplacian_adjoint(random_spd(rng, p)) for _ in scales]
     ws = [rng.uniform(0.1, 1.0, m) for _ in scales]
-    anchor = reference_ops.laplacian_from_weights(rng.uniform(0.1, 1.0, m), p) if coupled else None
+    anchor = reference_ops.laplacian_from_weights(rng.uniform(0.1, 1.0, m)) if coupled else None
     y = rng.standard_normal(p) if dual else None
     B = _incidence(p)
     # the Laplacian map as a p^2-by-m matrix, and a_e = e_i - e_j as the columns of A
-    Lmap = np.stack([reference_ops.laplacian_from_weights(e, p).ravel() for e in np.eye(m)], axis=1)
+    Lmap = np.stack([reference_ops.laplacian_from_weights(e).ravel() for e in np.eye(m)], axis=1)
     A = B.copy()
     A[np.triu_indices(p, k=1)[1], np.arange(m)] = -1.0
 
     def log_det_diagonal(scale, w):  # from an explicit inverse
-        Sigma = np.linalg.inv(reference_ops.laplacian_from_weights(w, p) + N)
+        Sigma = np.linalg.inv(reference_ops.laplacian_from_weights(w) + N)
         return np.diag(scale * np.einsum("ie,ij,je->e", A, Sigma, A) ** 2)
 
     # one block: the model is the exact penalty Hessian plus the log-det diagonal
-    fun = solvers._likelihood(p, cs[:1], N, scales[:1], anchor, kappa, dual=y, rho=rho)
+    fun = solvers._likelihood(cs[:1], N, scales[:1], anchor, kappa, dual=y, rho=rho)
     _, h, beta = fun(ws[0])[1]()
     want = log_det_diagonal(scales[0], ws[0])
     if coupled:
@@ -1152,7 +1152,7 @@ def test_likelihood_model_is_the_penalty_hessian_plus_the_log_det_diagonal(coupl
         if not coupled:
             E = E[1:]  # no anchor: the chain starts at L_0
         T = E.T @ E
-        fun = solvers._likelihood(p, cs[:blocks], N, scales[:blocks], anchor, kappa)
+        fun = solvers._likelihood(cs[:blocks], N, scales[:blocks], anchor, kappa)
         _, h, beta = fun(np.concatenate(ws[:blocks]))[1]()
         assert len(h) == blocks * m and len(beta) == blocks
         for b in range(blocks):
@@ -1172,7 +1172,7 @@ def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
     c = reference_ops.laplacian_adjoint(random_spd(rng, p))
     N = np.full((p, p), 1.0 / p)
     w0 = rng.uniform(0.1, 1.0, p * (p - 1) // 2)
-    want = solvers._spg(solvers._likelihood(p, [c], N), w0, 1e-10)
+    want = solvers._spg(solvers._likelihood([c], N), w0, 1e-10)
     adjoint, calls = solvers.laplacian_adjoint, []
 
     def cancelled_at_start(M):
@@ -1183,7 +1183,7 @@ def test_a_point_without_a_model_is_stepped_in_the_unit_metric(monkeypatch):
         return R
 
     monkeypatch.setattr(solvers, "laplacian_adjoint", cancelled_at_start)
-    fun = solvers._likelihood(p, [c], N)
+    fun = solvers._likelihood([c], N)
     g0, h0, beta0 = fun(w0)[1]()
     assert h0 == 1.0 and beta0 == [0.0]
     assert g0[0] == c[0]  # R_0 = 0 left c_0 alone

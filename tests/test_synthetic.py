@@ -88,6 +88,15 @@ def test_sampler_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e9])
+def test_sampler_scales_as_one_over_sqrt_c(c):
+    # pinv(c L) = pinv(L) / c, at every scale: the zero rule reads the spectrum's own scale
+    L = random_k_component_graph(10, 2, seed=1).L_true
+    want = sample_gmrf(L, 2000, seed=2).returns / np.sqrt(c)
+    got = sample_gmrf(c * L, 2000, seed=2).returns
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # --- simulate_factor_market ---------------------------------------------------
 
 def test_factor_market_degenerate_beta_one():
