@@ -7,8 +7,10 @@ planted truth), ``indicators`` (recompute indicators from stored Laplacians).
 
 :func:`main` creates the output directory, and the subcommand writes its
 artifacts there and returns its ``meta.json`` fields; ``main`` writes
-``meta.json`` and maps ``converged`` to the exit code: 0 success, 2
-validation error, 3 solver non-convergence (artifacts are still written).
+``meta.json`` and maps ``converged`` to the exit code: 0 success, 2 bad
+input (a ``ValueError`` or ``OSError``, printed, naming the file, row or
+key), 3 a solve that did not converge or could not start (artifacts are
+still written).
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ OPTIONS = {
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
 
-class ValidationError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # ingestion and file formats
 # ---------------------------------------------------------------------------
@@ -119,12 +117,12 @@ def _read_rows(path) -> list[list[str]]:
         with Path(path).open(newline="", encoding="utf-8") as fh:
             return list(csv.reader(fh))
     except (csv.Error, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
+        raise ValueError(f"{path}: unreadable CSV: {exc}") from None
 
 
 def _check_cells(path, rn: int, row: list[str], width: int) -> None:
     if len(row) != width:
-        raise ValidationError(f"{path}: row {rn}: expected {width} cells, got {len(row)}")
+        raise ValueError(f"{path}: row {rn}: expected {width} cells, got {len(row)}")
 
 
 # parser and complaint of each kind of CSV cell
@@ -142,7 +140,7 @@ def _parse_cell(path, rn: int, cell: str, kind: str, column: str | None = None):
         return parse(cell.strip())
     except ValueError:
         where = f"row {rn}" if column is None else f"row {rn}, column {column}"
-        raise ValidationError(f"{path}: {where}: {complaint} {cell!r}") from None
+        raise ValueError(f"{path}: {where}: {complaint} {cell!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -153,7 +151,7 @@ def _price(path, rn: int, cell: str, ticker: str) -> float:
     """One price cell, NaN when blank; a bad or non-positive price exits naming its row and column."""
     v = _parse_cell(path, rn, cell, "number", ticker) if cell.strip() else math.nan
     if -math.inf < v <= 0:
-        raise ValidationError(f"{path}: row {rn}, column {ticker}: non-positive price {v}")
+        raise ValueError(f"{path}: row {rn}, column {ticker}: non-positive price {v}")
     return v
 
 
@@ -168,21 +166,21 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     """
     path = Path(path)
     if not path.exists():
-        raise ValidationError(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     rows = _read_rows(path)
     if not rows:
-        raise ValidationError(f"{path}: empty file")
+        raise ValueError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
     if not header or header[0].lower() != "date":
-        raise ValidationError(f"{path}: first header column must be 'date'")
+        raise ValueError(f"{path}: first header column must be 'date'")
     tickers = tuple(header[1:])
     if not tickers:
-        raise ValidationError(f"{path}: no ticker columns")
+        raise ValueError(f"{path}: no ticker columns")
     if "" in tickers:
-        raise ValidationError(f"{path}: column {tickers.index('') + 2} of the header has no ticker name")
+        raise ValueError(f"{path}: column {tickers.index('') + 2} of the header has no ticker name")
     if len(set(tickers)) < len(tickers):
         repeated = next(t for i, t in enumerate(tickers) if t in tickers[:i])
-        raise ValidationError(f"{path}: repeated ticker {repeated!r} in the header")
+        raise ValueError(f"{path}: repeated ticker {repeated!r} in the header")
 
     dates: list[datetime.date] = []
     kept: list[np.ndarray] = []
@@ -196,12 +194,10 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
         d = _parse_cell(path, rn, row[0], "date")
         if previous is not None:
             if d == previous:
-                raise ValidationError(f"{path}: row {rn}: duplicate date {d.isoformat()}")
+                raise ValueError(f"{path}: row {rn}: duplicate date {d.isoformat()}")
             if d < previous:
-                raise ValidationError(
-                    f"{path}: row {rn}: dates not increasing ({d.isoformat()} after "
-                    f"{previous.isoformat()})"
-                )
+                raise ValueError(f"{path}: row {rn}: dates not increasing "
+                                 f"({d.isoformat()} after {previous.isoformat()})")
         previous = d
         try:
             values = np.array([float(c) if c.strip() else math.nan for c in row[1:]])
@@ -221,7 +217,7 @@ def ingest_prices(path, ffill: bool = False) -> PricePanel:
     if dropped:
         print(f"note: dropped {dropped} row(s) with missing values", file=sys.stderr)
     if len(kept) < 2:
-        raise ValidationError(f"{path}: fewer than 2 usable price rows")
+        raise ValueError(f"{path}: fewer than 2 usable price rows")
     return PricePanel(dates=tuple(dates), tickers=tickers, prices=np.array(kept, dtype=float))
 
 
@@ -250,16 +246,16 @@ def write_matrix_csv(path, M: np.ndarray, labels) -> None:
 def read_matrix_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     rows = _read_rows(path)
     if len(rows) < 2:
-        raise ValidationError(f"{path}: not a matrix CSV")
+        raise ValueError(f"{path}: not a matrix CSV")
     labels = tuple(c.strip() for c in rows[0])
     try:
         M = np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
     except ValueError:
-        raise ValidationError(f"{path}: corrupt matrix CSV") from None
+        raise ValueError(f"{path}: corrupt matrix CSV") from None
     if M.shape != (len(labels), len(labels)):
-        raise ValidationError(f"{path}: matrix shape {M.shape} does not match header")
+        raise ValueError(f"{path}: matrix shape {M.shape} does not match header")
     if not np.isfinite(M).all():
-        raise ValidationError(f"{path}: non-finite matrix entry")
+        raise ValueError(f"{path}: non-finite matrix entry")
     return M, labels
 
 
@@ -269,7 +265,7 @@ def _read_laplacian(path) -> tuple[np.ndarray, tuple[str, ...]]:
     try:
         weights_from_laplacian(L)
     except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     return L, labels
 
 
@@ -297,15 +293,15 @@ def read_indicators_csv(path):
     """The indicator series of ``path``: finite numbers, time_consistency blank on the first row only."""
     path = Path(path)
     if not path.exists():
-        raise ValidationError(f"indicator file not found: {path}")
+        raise ValueError(f"indicator file not found: {path}")
     rows = _read_rows(path)
     if not rows or rows[0] != INDICATORS_HEADER:
-        raise ValidationError(f"{path}: not an indicators CSV")
+        raise ValueError(f"{path}: not an indicators CSV")
 
     def number(rn, cell, column):  # compute_indicators writes finite values only
         v = _parse_cell(path, rn, cell, "number", column)
         if not math.isfinite(v):
-            raise ValidationError(f"{path}: row {rn}, column {column}: non-finite cell {cell!r}")
+            raise ValueError(f"{path}: row {rn}, column {column}: non-finite cell {cell!r}")
         return v
 
     dates, lam2, lmax, cons = [], [], [], []
@@ -317,8 +313,8 @@ def read_indicators_csv(path):
         if rn > 2:
             cons.append(number(rn, row[3], INDICATORS_HEADER[3]))
         elif row[3].strip():
-            raise ValidationError(f"{path}: row 2, column {INDICATORS_HEADER[3]}: "
-                                  f"expected a blank cell on the first row, got {row[3]!r}")
+            raise ValueError(f"{path}: row 2, column {INDICATORS_HEADER[3]}: "
+                             f"expected a blank cell on the first row, got {row[3]!r}")
     return IndicatorSeries(
         dates=tuple(dates),
         algebraic_connectivity=np.array(lam2),
@@ -346,18 +342,18 @@ def write_meta(outdir: Path, command: str, resolved: dict, extra: dict) -> None:
 def _parse_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: unreadable config file: {exc}") from None
+        raise ValueError(f"{path}: unreadable config file: {exc}") from None
     out = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):  # a "#" inside a value is part of it
             continue
         if "=" not in line:
-            raise ValidationError(f"{path}: line {ln}: expected 'key = value'")
+            raise ValueError(f"{path}: line {ln}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         out[key.replace("-", "_")] = value
     return out
@@ -372,14 +368,14 @@ def _coerce(key: str, value: str):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ValidationError(f"config key {key}: expected a boolean, got {value!r}")
+        raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
     kind = kw.get("type", str)
     try:
         value = kind(value)
     except ValueError:
-        raise ValidationError(f"config key {key}: expected {kind.__name__}, got {value!r}") from None
+        raise ValueError(f"config key {key}: expected {kind.__name__}, got {value!r}") from None
     if "choices" in kw and value not in kw["choices"]:
-        raise ValidationError(f"config key {key}: {value!r} is not one of {', '.join(kw['choices'])}")
+        raise ValueError(f"config key {key}: {value!r} is not one of {', '.join(kw['choices'])}")
     return value
 
 
@@ -389,9 +385,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         for key, value in _parse_config_file(args.config).items():
             if key not in OPTIONS:
-                raise ValidationError(f"unknown config key: {key}")
+                raise ValueError(f"unknown config key: {key}")
             if key not in resolved:
-                raise ValidationError(f"config key {key}: not an option of {args.command}")
+                raise ValueError(f"config key {key}: not an option of {args.command}")
             resolved[key] = _coerce(key, value)
     for key in resolved:
         cli_value = getattr(args, key, None)
@@ -416,7 +412,7 @@ def _prepared_returns(r: dict) -> ReturnsPanel:
     returns = _raw_returns(r)
     col = r["market_column"]
     if col and col not in returns.tickers:
-        raise ValidationError(f"market column {col!r} not in tickers")
+        raise ValueError(f"market column {col!r} not in tickers")
     if r["market"] == "remove":
         market = None
         if col:
@@ -445,7 +441,7 @@ def _similarity(returns: ReturnsPanel, scale: str) -> np.ndarray:
 
 def cmd_learn(r: dict, outdir: Path) -> dict:
     if r["method"] == "smooth" and r["k"] > 1:
-        raise ValidationError(f"--method smooth learns one component; it takes no --k {r['k']}")
+        raise ValueError(f"--method smooth learns one component; it takes no --k {r['k']}")
     returns = _prepared_returns(r)
     cfg = _solver_config(r)
     t0 = time.perf_counter()
@@ -483,7 +479,7 @@ def cmd_learn_tv(r: dict, outdir: Path) -> dict:
         try:
             S_seq.append(_similarity(chunk, r["scale"]))
         except ValueError as exc:
-            raise ValidationError(f"window {t} ({chunk.dates[0]} to {chunk.dates[-1]}): {exc}") from None
+            raise ValueError(f"window {t} ({chunk.dates[0]} to {chunk.dates[-1]}): {exc}") from None
     L_seq, reports = learn_time_varying(S_seq, [chunk.n for chunk in windows], cfg)
     wall = time.perf_counter() - t0
 
@@ -503,7 +499,7 @@ def cmd_learn_tv(r: dict, outdir: Path) -> dict:
 
 def cmd_backtest(r: dict, outdir: Path) -> dict:
     if not r["indicators"]:
-        raise ValidationError("--indicators is required: an indicators.csv from learn-tv or indicators")
+        raise ValueError("--indicators is required: an indicators.csv from learn-tv or indicators")
     returns = _raw_returns(r)  # PnL always uses raw returns
     indicators = read_indicators_csv(r["indicators"])
 
@@ -527,9 +523,7 @@ def _parse_regimes(text: str):
         try:
             regimes.append((int(length), float(level)))
         except ValueError:
-            raise ValidationError(
-                f"invalid --regimes {text!r}; expected 'len:corr,len:corr,...'"
-            ) from None
+            raise ValueError(f"invalid --regimes {text!r}; expected 'len:corr,len:corr,...'") from None
     return tuple(regimes)
 
 
@@ -579,16 +573,16 @@ def cmd_synth(r: dict, outdir: Path) -> dict:
 def cmd_indicators(r: dict, outdir: Path) -> dict:
     indir = Path(r["input"])
     if not indir.is_dir():
-        raise ValidationError(f"--input must be a directory of stored Laplacians: {indir}")
+        raise ValueError(f"--input must be a directory of stored Laplacians: {indir}")
     stored = {f.name for f in indir.glob(MATRIX_FILE.format("*"))}
     if not stored:
-        raise ValidationError(f"no {MATRIX_FILE.format('*')} files in {indir}")
+        raise ValueError(f"no {MATRIX_FILE.format('*')} files in {indir}")
     windows_file = indir / "windows.csv"
     if not windows_file.exists():
-        raise ValidationError(f"missing windows.csv in {indir}")
+        raise ValueError(f"missing windows.csv in {indir}")
     rows = _read_rows(windows_file)
     if not rows or rows[0] != WINDOWS_HEADER:
-        raise ValidationError(f"{windows_file}: header must be {','.join(WINDOWS_HEADER)}")
+        raise ValueError(f"{windows_file}: header must be {','.join(WINDOWS_HEADER)}")
     matrix_files, end_dates = [], []
     for rn, row in enumerate(rows[1:], start=2):
         _check_cells(windows_file, rn, row, len(WINDOWS_HEADER))
@@ -598,12 +592,12 @@ def cmd_indicators(r: dict, outdir: Path) -> dict:
         end_dates.append(end)
     names = [f.name for f in matrix_files]
     if len(set(names)) != len(names) or set(names) != stored:
-        raise ValidationError("windows.csv does not match the stored matrices")
+        raise ValueError("windows.csv does not match the stored matrices")
     L_seq, headers = zip(*map(_read_laplacian, matrix_files))
     for f, labels in zip(matrix_files, headers):
         if labels != headers[0]:
-            raise ValidationError(f"{f}: header {','.join(labels)} differs from the first window's "
-                                  f"{','.join(headers[0])}")
+            raise ValueError(f"{f}: header {','.join(labels)} differs from the first window's "
+                             f"{','.join(headers[0])}")
     write_indicators_csv(outdir / "indicators.csv", compute_indicators(L_seq, end_dates))
     return {"converged": True, "n_windows": len(L_seq)}
 
@@ -648,14 +642,14 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_config(args)
         if "input" in args and not args.input:
-            raise ValidationError("--input is required")
+            raise ValueError("--input is required")
         if not resolved["output_dir"]:
-            raise ValidationError("--output-dir is required")
+            raise ValueError("--output-dir is required")
         outdir = Path(resolved["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         extra = _COMMANDS[args.command][0](resolved, outdir)
         write_meta(outdir, args.command, resolved, extra)
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK if extra["converged"] else EXIT_NONCONVERGED

@@ -295,18 +295,20 @@ def _spg(fun, w0: np.ndarray, tol: float):
     the unit metric it is the plain KKT residual.
 
     The first trial is the model step, ``t = 1``; the stop and the step
-    read only the current point.  A call stops unconverged after
-    ``_INNER_MAX_ITERS`` iterations.
+    read only the current point.  The kernel raises nothing: it returns
+    unconverged after ``_INNER_MAX_ITERS`` iterations, after 60 halvings
+    without a step, and at once (0 iterations, ``g = None``) from a start
+    with no finite value or no gradient.
 
     Returns ``(w, f, g, iterations, converged, trace)``.
     """
     w = np.asarray(w0, dtype=float).copy()
     f, grad = fun(w)
     out = grad() if math.isfinite(f) else None
-    if out is None:
-        raise ValueError("infeasible starting point for projected gradient")
-    g, h, beta = out
     trace, step = [f], 1.0
+    if out is None:  # no value or no gradient at the start: nowhere to step from
+        return w, f, None, 0, False, trace
+    g, h, beta = out
     for it in range(1, _INNER_MAX_ITERS + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if (np.abs(resid) / np.sqrt(h)).max() <= tol:
@@ -483,8 +485,9 @@ def solve_l_subproblem(
     finite objective.
 
     Feasibility is never an issue: uniform weights 1/(p-1) give unit
-    degrees.  If no round ends the solve within ``_MAX_OUTER_ITERS`` dual
-    rounds the last iterate is returned flagged unconverged.
+    degrees.  The last iterate is returned flagged unconverged if no round
+    ends the solve within ``_MAX_OUTER_ITERS`` dual rounds, or after the
+    first if SPG cannot start at ``w0`` (``L(w0) + N`` is not PD).
 
     Returns ``(L, report)``.
     """
@@ -505,7 +508,6 @@ def solve_l_subproblem(
     total_iters = 0
     trace = []
     prev_res = np.inf
-    converged = False
 
     for _ in range(_MAX_OUTER_ITERS):
         fun = _likelihood([c], N, dual=y, rho=rho)
@@ -515,8 +517,8 @@ def solve_l_subproblem(
         r = degrees_from_weights(w) - 1.0
         res = float(np.abs(r).max())
         trace.append(objective(w)[0])
-        if res <= _DEGREE_TOL and conv_inner and tol == cfg.inner_tol:
-            converged = True
+        converged = res <= _DEGREE_TOL and conv_inner and tol == cfg.inner_tol
+        if converged or not (iters or conv_inner):  # or SPG could not start at w: no y or rho helps
             break
         y = y + rho * r
         if res > 0.25 * prev_res:
@@ -549,7 +551,10 @@ def learn_k_component(S, cfg: SolverConfig | None = None):
     did.  The report's ``iterations`` still counts the seed's SPG
     iterations.  A full step whose result is above its warm start ends the
     alternation at the warm start, but only if the warm start meets the
-    degree tolerance; otherwise the step's result is kept.
+    degree tolerance; otherwise the step's result is kept.  A step that
+    cannot start (its warm start has more than k zero eigenvalues) hands
+    the warm start back, and the alternation ends there, unconverged, off
+    unit degrees if that step was, and with +inf closing its trace.
 
     The objective trace holds the relaxed objective, each value the step's
     likelihood ``tr(LK) - log det(L + V V^T)`` with ``K = S + eta V V^T``:

@@ -114,11 +114,12 @@ def eager_spg(fun, w0, tol):
         return f, out
 
     w = np.asarray(w0, dtype=float).copy()
-    f, model = evaluate(w)
-    if not np.isfinite(f):
-        raise ValueError("infeasible starting point for projected gradient")
-    g, h, beta = model
+    f, grad = fun(w)  # the start keeps its own value, as in the kernel
+    model = grad() if np.isfinite(f) else None
     trace, step = [f], 1.0
+    if model is None:
+        return w, f, None, 0, False, trace
+    g, h, beta = model
     for it in range(1, solvers._INNER_MAX_ITERS + 1):
         resid = np.where(w > 0.0, g, np.minimum(g, 0.0))
         if (np.abs(resid) / np.sqrt(h)).max() <= tol:

@@ -291,6 +291,16 @@ def test_c05_k_component_recovery():
     assert report(5, ok_nullity and ok_degrees and ok_f, detail)
 
 
+def test_k_component_fixtures_end_at_their_recorded_objectives():
+    # C5's five fixtures, each at the local optimum the solver reaches now: a
+    # seed or step change that moves one to another optimum fails here
+    # instead of passing unseen, and its new objectives are recorded on purpose
+    objectives = [float(r["report"].objective_trace[-1]) for r in k_component_runs()]
+    recorded = [25.975420792979175, 25.38793684096505, 24.965176825648648, 25.121916390909288,
+                24.465705665932678]
+    np.testing.assert_allclose(objectives, recorded, rtol=1e-6)
+
+
 def test_c06_monotone_descent():
     runs = k_component_runs()
     ok = True

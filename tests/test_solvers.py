@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import types
 
 import numpy as np
@@ -489,6 +490,20 @@ def test_k_component_converges_on_covariance_scale_input():
     assert report.constraint_residuals["degree"] <= 1e-6
 
 
+def test_k_component_flags_badly_scaled_input_and_raises_nothing():
+    # c S for a correlation S: a converged graph up to c = 1e3 (200-483 SPG
+    # iterations), a flagged one at c = 1e5 (the L-steps run out of dual
+    # rounds) and at c = 1e6 (the first L-step ends with four zero
+    # eigenvalues, so the next cannot start).  c >= 1e7 runs for minutes.
+    S = correlation_from_covariance(sample_covariance(simulate_factor_market(p=20, n=200, seed=0).returns))
+    start = time.perf_counter()
+    for c in (1e-6, 1e-4, 1.0, 1e3, 1e5, 1e6):
+        L, report = learn_k_component(c * S, SolverConfig(k=2))
+        assert np.isfinite(weights_from_laplacian(L)).all(), c  # a Laplacian, whatever the flag
+        assert report.converged == (c <= 1e3), c
+    assert time.perf_counter() - start <= 30.0
+
+
 def test_k_component_leaves_alpha_out():
     # unit degrees fix sum(w) = p/2, so alpha is a constant there, seed included
     S = _planted_k2_similarity()
@@ -539,6 +554,27 @@ def test_k_component_never_returns_an_infeasible_warm_start(monkeypatch):
     assert degree <= 1e-6
     assert report.constraint_residuals["degree"] == degree
     assert report.converged and num_components(L) == 2
+
+
+def test_an_l_step_that_cannot_start_ends_after_one_round(monkeypatch):
+    # L(0) + 11^T/p is singular, so SPG cannot start at w0 = 0, and no
+    # multiplier or penalty can change that: one round, w0 back, flagged
+    calls = []
+    spg = solvers._spg
+
+    def recording(fun, w0, tol):
+        out = spg(fun, w0, tol)
+        calls.append(out[3:5])
+        return out
+
+    monkeypatch.setattr(solvers, "_spg", recording)
+    w0 = np.zeros(45)
+    L, report = solve_l_subproblem(random_spd(np.random.default_rng(8), 10), w0=w0)
+    assert calls == [(0, False)]
+    assert bitwise_equal(L, laplacian_from_weights(w0))
+    assert not report.converged and report.iterations == 0
+    assert report.objective_trace.tolist() == [np.inf]
+    assert report.constraint_residuals["degree"] == 1.0
 
 
 def test_dual_rounds_follow_the_tolerance_schedule(monkeypatch):
@@ -1021,17 +1057,17 @@ def test_spg_backtracks_when_an_accepted_trial_has_no_gradient():
     assert len(calls["grad"]) == len(trace) + 1
 
 
-def test_spg_rejects_an_infeasible_start():
+def test_spg_returns_unconverged_from_a_start_it_cannot_step_from():
+    # no finite value, or no gradient: the kernel (and its reference) returns the start, unconverged
     def never(*_):
         raise AssertionError("gradient requested at an infeasible value")
 
-    for fun in (
-        lambda w: (np.inf, None),
-        lambda w: (np.inf, never),
-        lambda w: (1.0, lambda: None),
-    ):
-        with pytest.raises(ValueError, match="infeasible starting point"):
-            solvers._spg(fun, np.ones(3), 1e-7)
+    w0 = np.array([0.5, 0.0, 2.0])
+    for spg in (solvers._spg, reference_ops.eager_spg):
+        for f0, grad in ((np.inf, None), (np.inf, never), (1.0, lambda: None)):
+            w, f, g, iters, conv, trace = spg(lambda w: (f0, grad), w0, 1e-7)
+            assert bitwise_equal(w, w0) and w is not w0
+            assert (f, g, iters, conv, trace) == (f0, None, 0, False, [f0])
 
 
 # --- exits of the SPG kernel and the solvers -------------------------------------
